@@ -453,29 +453,6 @@ class ChannelSimulator:
         """One CSI packet including measurement impairments."""
         return self.impair(self.clean_cfr(humans), seed=seed)
 
-    def sample_burst(
-        self,
-        humans: Sequence[HumanBody] | HumanBody | None = None,
-        *,
-        num_packets: int,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """A burst of packets for a static scene.
-
-        Returns an array of shape ``(num_packets, num_antennas,
-        num_subcarriers)``.  The clean CFR is computed once (the scene is
-        static) and the per-packet impairments are drawn in one vectorized
-        :meth:`~repro.channel.noise.ImpairmentModel.apply_batch` pass, so
-        bursts are cheap even for large *num_packets*.
-        """
-        if num_packets < 1:
-            raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-        rng = ensure_rng(seed) if seed is not None else self._rng
-        clean = self.clean_cfr(humans)
-        return self.impairments.apply_batch(
-            clean, self.subcarrier_indices, num_packets=num_packets, seed=rng
-        )
-
     def sample_trajectory(
         self,
         positions: Sequence[Point],

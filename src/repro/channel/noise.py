@@ -7,6 +7,12 @@ packet carries a random common phase from residual carrier frequency offset
 control (AGC), and thermal noise.  The paper calibrates the raw CSI "as in
 [26]" (Sen et al.) to remove the phase artefacts; reproducing the impairments
 here lets the calibration stage in :mod:`repro.csi.calibration` do real work.
+
+:meth:`ImpairmentModel.apply` impairs one packet and is the reference;
+:class:`ImpairmentDrawPlan` is the bulk path every collector uses.  It draws
+each packet with two generator calls — one uniform, one block of standard
+normals — in exactly the reference's consumption order, and impairs the
+whole burst array at a time, byte-identical to stacked ``apply`` calls.
 """
 
 from __future__ import annotations
@@ -107,88 +113,6 @@ class ImpairmentModel:
 
         return noisy
 
-    def apply_batch(
-        self,
-        cfr: np.ndarray,
-        subcarrier_indices: np.ndarray,
-        *,
-        num_packets: int | None = None,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """Apply per-packet impairments to a whole burst in one vectorized pass.
-
-        Accepts either a single clean CFR of shape ``(antennas, subcarriers)``
-        (broadcast to *num_packets* packets of the same static scene) or a
-        stack of per-packet CFRs of shape ``(packets, antennas, subcarriers)``
-        (for example a trajectory).  Every random quantity is drawn per packet
-        exactly as in :meth:`apply`, but the draws are batched per impairment
-        rather than per packet, so for a given generator the *values* differ
-        from ``num_packets`` sequential :meth:`apply` calls while the
-        distribution is identical.  Use this in bulk-generation scenarios
-        (streaming demos, multi-link traffic) that do not need draw-order
-        parity with the sequential path; the packet collector's campaign path
-        keeps the sequential draws so traces stay bit-identical.
-
-        Returns an array of shape ``(packets, antennas, subcarriers)``.
-        """
-        rng = ensure_rng(seed)
-        cfr = np.asarray(cfr, dtype=complex)
-        if cfr.ndim == 2:
-            if num_packets is None:
-                raise ValueError(
-                    "num_packets is required when cfr has shape (antennas, subcarriers)"
-                )
-            if num_packets < 1:
-                raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-            cfr = np.broadcast_to(cfr, (num_packets, *cfr.shape))
-        elif cfr.ndim == 3:
-            if num_packets is not None and num_packets != cfr.shape[0]:
-                raise ValueError(
-                    f"num_packets={num_packets} conflicts with cfr stack of "
-                    f"{cfr.shape[0]} packets"
-                )
-        else:
-            raise ValueError(
-                "cfr must have shape (antennas, subcarriers) or "
-                f"(packets, antennas, subcarriers), got {cfr.shape}"
-            )
-        packets, antennas, subcarriers = cfr.shape
-        indices = np.asarray(subcarrier_indices, dtype=float)
-        if indices.shape != (subcarriers,):
-            raise ValueError(
-                f"subcarrier_indices has shape {indices.shape}, expected ({subcarriers},)"
-            )
-        noisy = cfr.copy()
-
-        if self.cfo_phase:
-            common_phase = rng.uniform(0.0, 2.0 * np.pi, size=packets)
-            noisy *= np.exp(1j * common_phase)[:, None, None]
-
-        if self.sfo_slope_std > 0:
-            slope = rng.normal(0.0, self.sfo_slope_std, size=packets)
-            noisy *= np.exp(1j * slope[:, None, None] * indices[None, None, :])
-
-        if self.antenna_phase_offsets and antennas > 1:
-            offsets = rng.normal(0.0, 0.1, size=(packets, antennas))
-            noisy *= np.exp(1j * offsets)[:, :, None]
-
-        if self.agc_std_db > 0:
-            gain_db = rng.normal(0.0, self.agc_std_db, size=packets)
-            noisy *= (10.0 ** (gain_db / 20.0))[:, None, None]
-
-        mean_power = np.mean(np.abs(cfr) ** 2, axis=(1, 2))
-        if np.isfinite(self.snr_db) and np.any(mean_power > 0):
-            # Per-packet noise power tracks each packet's own clean CFR, as in
-            # apply(); standard normals are scaled per packet so a zero-power
-            # packet receives exactly zero noise.
-            sigma = np.sqrt(mean_power / (10.0 ** (self.snr_db / 10.0)) / 2.0)
-            noise = rng.normal(0.0, 1.0, size=cfr.shape) + 1j * rng.normal(
-                0.0, 1.0, size=cfr.shape
-            )
-            noisy += noise * sigma[:, None, None]
-
-        return noisy
-
     def draw_plan(
         self,
         cleans: np.ndarray,
@@ -198,16 +122,14 @@ class ImpairmentModel:
     ) -> "ImpairmentDrawPlan":
         """A draw-order-compatible plan for a burst of per-packet impairments.
 
-        Unlike :meth:`apply_batch` (which reorders the draws per impairment
-        and therefore produces *different* values than sequential
-        :meth:`apply` calls), the plan keeps the exact historical RNG
-        consumption order: the caller invokes
-        :meth:`ImpairmentDrawPlan.draw_next` once per received packet —
-        interleaved with its own draws, for example a collector's loss
-        process — and every packet's draws happen in precisely the sequence
-        :meth:`apply` would make them.  The heavy array arithmetic then runs
-        once for the whole burst in :meth:`ImpairmentDrawPlan.apply`,
-        bit-identical to the sequential path.
+        The plan keeps the exact RNG consumption of sequential :meth:`apply`
+        calls: the caller invokes :meth:`ImpairmentDrawPlan.draw_next` per
+        received packet — interleaved with its own draws, for example a
+        collector's loss process — or once per lossless burst, and every
+        packet consumes the generator precisely as :meth:`apply` would.  The
+        heavy array arithmetic then runs once for the whole burst in
+        :meth:`ImpairmentDrawPlan.apply`, bit-identical to the sequential
+        path.
 
         Parameters
         ----------
@@ -243,20 +165,31 @@ class ImpairmentModel:
 
 
 class ImpairmentDrawPlan:
-    """Pre-drawn per-packet impairment randomness with the historical order.
+    """Pre-drawn per-packet impairment randomness in the sequential order.
 
     Built by :meth:`ImpairmentModel.draw_plan`.  The plan splits
     :meth:`ImpairmentModel.apply` into its two halves: the *draws* (which
-    must consume the generator in exactly the historical per-packet order,
+    must consume the generator in exactly the sequential per-packet order,
     interleaved with any caller-side draws such as a loss process) and the
-    *application* (pure array arithmetic with no randomness, which can run
-    once for the whole burst).  Every multiplication happens in the same
-    order and with bit-identical factors as the sequential path — the AGC
-    gain is routed through the backend ``power_elementwise`` kernel
-    (libm-exact in ``exact`` mode)
-    because NumPy's array ``**`` differs from the scalar libm ``pow`` in the
-    last ulp — so ``plan.apply()`` is byte-identical to stacking sequential
-    :meth:`ImpairmentModel.apply` calls.
+    *application* (pure array arithmetic with no randomness, which runs
+    once for the whole burst).
+
+    A packet costs two generator calls where :meth:`ImpairmentModel.apply`
+    makes up to six.  NumPy computes ``uniform(0, h)`` as
+    ``0.0 + h * random()`` and ``normal(0, s, size)`` as
+    ``0.0 + s * standard_normal(size)``, bit for bit and with the same
+    generator advance, and consecutive standard-normal draws concatenate.
+    So each packet stores one ``random()`` (the CFO phase) and one
+    ``standard_normal`` row holding, in ``apply()``'s order, the SFO slope,
+    the antenna offsets, the AGC gain and the real then imaginary noise;
+    :meth:`apply` does the ``loc + scale * z`` scaling array at a time.
+
+    Every multiplication then happens in the same order and with
+    bit-identical factors as the sequential path — the AGC gain is routed
+    through the backend ``power_elementwise`` kernel (libm-exact in
+    ``exact`` mode) because NumPy's array ``**`` differs from the scalar
+    libm ``pow`` in the last ulp — so ``plan.apply()`` is byte-identical to
+    stacking sequential :meth:`ImpairmentModel.apply` calls.
     """
 
     def __init__(
@@ -300,35 +233,38 @@ class ImpairmentDrawPlan:
         self._subcarriers = subcarriers
         self._count = 0
         self._chosen = np.empty(capacity, dtype=np.intp)
-        self._phases = np.empty(capacity) if model.cfo_phase else None
-        self._slopes = np.empty(capacity) if model.sfo_slope_std > 0 else None
-        self._offsets = (
-            np.empty((capacity, antennas))
-            if model.antenna_phase_offsets and antennas > 1
-            else None
-        )
-        self._gains = np.empty(capacity) if model.agc_std_db > 0 else None
+        self._uniforms = np.empty(capacity) if model.cfo_phase else None
+        # Columns of a packet's standard-normal row, in apply()'s draw order.
+        width = 0
+        self._slope_col: int | None = None
+        if model.sfo_slope_std > 0:
+            self._slope_col, width = width, width + 1
+        self._offset_cols: slice | None = None
+        if model.antenna_phase_offsets and antennas > 1:
+            self._offset_cols, width = slice(width, width + antennas), width + antennas
+        self._gain_col: int | None = None
+        if model.agc_std_db > 0:
+            self._gain_col, width = width, width + 1
+        self._noise_col = width
         # Per-candidate noise scale, exactly as apply() derives it: the noise
         # power tracks each candidate's own clean mean subcarrier power, and
         # a zero-power candidate draws (and receives) no noise at all.
+        self._noise_scale = np.zeros(candidates.shape[0])
+        self._noise_active = np.zeros(candidates.shape[0], dtype=bool)
         if np.isfinite(model.snr_db):
-            mean_power = np.array(
-                [float(np.mean(np.abs(c) ** 2)) for c in candidates]
-            )
-            self._noise_scale = np.array(
-                [
-                    np.sqrt((m / (10.0 ** (model.snr_db / 10.0))) / 2.0) if m > 0 else 0.0
-                    for m in mean_power
-                ]
-            )
-            self._noise_active = mean_power > 0
-            self._noise = np.zeros(
-                (capacity, 2, antennas, subcarriers)
-            ) if bool(self._noise_active.any()) else None
-        else:
-            self._noise_scale = None
-            self._noise_active = None
-            self._noise = None
+            for c, clean in enumerate(candidates):
+                mean_power = float(np.mean(np.abs(clean) ** 2))
+                if mean_power > 0:
+                    self._noise_active[c] = True
+                    self._noise_scale[c] = np.sqrt(
+                        (mean_power / (10.0 ** (model.snr_db / 10.0))) / 2.0
+                    )
+        noise_width = 2 * antennas * subcarriers if self._noise_active.any() else 0
+        self._widths = [
+            width + noise_width if active else width
+            for active in self._noise_active.tolist()
+        ]
+        self._normals = np.empty((capacity, width + noise_width))
 
     @property
     def num_drawn(self) -> int:
@@ -340,34 +276,42 @@ class ImpairmentDrawPlan:
         """Maximum number of packets this plan can hold."""
         return self._chosen.shape[0]
 
-    def draw_next(self, rng: np.random.Generator, candidate: int = 0) -> None:
-        """Draw one packet's impairments for *candidate* (historical order).
+    def draw_next(
+        self, rng: np.random.Generator, candidate: int = 0, count: int = 1
+    ) -> None:
+        """Draw the next *count* packets' impairments for *candidate*.
 
-        Makes exactly the generator calls :meth:`ImpairmentModel.apply`
-        would make for this packet — same distributions, same sizes, same
-        sequence — and nothing else, so interleaving :meth:`draw_next` with
-        caller-side draws reproduces the sequential stream byte-for-byte.
+        Each packet consumes the generator exactly as one
+        :meth:`ImpairmentModel.apply` call on that candidate would, and the
+        plan makes no other draw, so interleaving single-packet calls with
+        caller-side draws (a loss process) reproduces the sequential stream
+        byte for byte, and a lossless burst draws in one tight loop.
         """
-        p = self._count
-        if p >= self._chosen.shape[0]:
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        start = self._count
+        end = start + count
+        if end > self._chosen.shape[0]:
             raise RuntimeError(f"plan capacity {self._chosen.shape[0]} exhausted")
         if not 0 <= candidate < self._candidates.shape[0]:
             raise IndexError(f"candidate {candidate} out of range")
-        self._chosen[p] = candidate
-        if self._phases is not None:
-            self._phases[p] = rng.uniform(0.0, 2.0 * np.pi)
-        if self._slopes is not None:
-            self._slopes[p] = rng.normal(0.0, self._model.sfo_slope_std)
-        if self._offsets is not None:
-            self._offsets[p] = rng.normal(0.0, 0.1, size=self._antennas)
-        if self._gains is not None:
-            self._gains[p] = rng.normal(0.0, self._model.agc_std_db)
-        if self._noise is not None and self._noise_active[candidate]:
-            scale = self._noise_scale[candidate]
-            shape = (self._antennas, self._subcarriers)
-            self._noise[p, 0] = rng.normal(0.0, scale, size=shape)
-            self._noise[p, 1] = rng.normal(0.0, scale, size=shape)
-        self._count += 1
+        self._chosen[start:end] = candidate
+        rows = self._normals[start:end, : self._widths[candidate]]
+        if self._uniforms is None:
+            # No per-packet uniform separates the rows, so the burst is one
+            # run of consecutive standard normals.
+            if rows.size and rows.flags.c_contiguous:
+                rng.standard_normal(out=rows)
+            elif rows.size:
+                rows[...] = rng.standard_normal(rows.shape)
+        elif rows.shape[1]:
+            random, normal, uniforms = rng.random, rng.standard_normal, self._uniforms
+            for p, row in zip(range(start, end), rows):
+                uniforms[p] = random()
+                normal(out=row)
+        else:
+            self._uniforms[start:end] = rng.random(count)
+        self._count = end
 
     def apply(self) -> np.ndarray:
         """The impaired burst, shape ``(num_drawn, antennas, subcarriers)``.
@@ -380,39 +324,51 @@ class ImpairmentDrawPlan:
         same product up to float reassociation.
         """
         n = self._count
-        noisy = self._candidates[self._chosen[:n]]
+        model = self._model
+        chosen = self._chosen[:n]
+        z = self._normals[:n]
+        noisy = self._candidates[chosen]
+        # NumPy's scalar draws compute loc + scale * z; the 0.0 + is kept so
+        # a -0.0 product becomes +0.0 here exactly as it does there.
+        phases = None if self._uniforms is None else 0.0 + (2.0 * np.pi) * self._uniforms[:n]
+        slopes = (
+            None if self._slope_col is None else 0.0 + model.sfo_slope_std * z[:, self._slope_col]
+        )
+        offsets = None if self._offset_cols is None else 0.0 + 0.1 * z[:, self._offset_cols]
         backend = active_backend()
         if getattr(backend, "tolerance_parity", False):
             # Tolerance-parity backends collapse the per-factor unit-phasor
             # multiplies into one rotation by the summed phase — the same
             # product up to reassociation, at a third of the complex work.
             phase: np.ndarray | float = 0.0
-            if self._phases is not None:
-                phase = self._phases[:n, None, None]
-            if self._slopes is not None:
-                phase = phase + self._slopes[:n, None, None] * self._indices[None, None, :]
-            if self._offsets is not None:
-                phase = phase + self._offsets[:n, :, None]
+            if phases is not None:
+                phase = phases[:, None, None]
+            if slopes is not None:
+                phase = phase + slopes[:, None, None] * self._indices[None, None, :]
+            if offsets is not None:
+                phase = phase + offsets[:, :, None]
             if isinstance(phase, np.ndarray):
                 noisy *= backend.cis(phase)
         else:
-            if self._phases is not None:
-                noisy *= np.exp(1j * self._phases[:n])[:, None, None]
-            if self._slopes is not None:
-                noisy *= np.exp(
-                    1j * self._slopes[:n, None, None] * self._indices[None, None, :]
-                )
-            if self._offsets is not None:
-                noisy *= np.exp(1j * self._offsets[:n])[:, :, None]
-        if self._gains is not None:
-            noisy *= active_backend().power_elementwise(10.0, self._gains[:n] / 20.0)[
-                :, None, None
-            ]
-        if self._noise is not None:
-            # Only packets whose candidate has noise enabled receive the add;
-            # apply() skips the += entirely for zero-power cleans, and adding
-            # an all-zero array is not a no-op at the bit level (-0.0 + 0.0).
-            rows = np.flatnonzero(self._noise_active[self._chosen[:n]])
-            if rows.size:
-                noisy[rows] += self._noise[rows, 0] + 1j * self._noise[rows, 1]
+            if phases is not None:
+                noisy *= np.exp(1j * phases)[:, None, None]
+            if slopes is not None:
+                noisy *= np.exp(1j * slopes[:, None, None] * self._indices[None, None, :])
+            if offsets is not None:
+                noisy *= np.exp(1j * offsets)[:, :, None]
+        if self._gain_col is not None:
+            gains = 0.0 + model.agc_std_db * z[:, self._gain_col]
+            noisy *= backend.power_elementwise(10.0, gains / 20.0)[:, None, None]
+        # Only packets whose candidate has noise enabled receive the add;
+        # apply() skips the += entirely for zero-power cleans, and adding
+        # an all-zero array is not a no-op at the bit level (-0.0 + 0.0).
+        active = self._noise_active[chosen]
+        if active.any():
+            rows = slice(None) if active.all() else np.flatnonzero(active)
+            block = self._antennas * self._subcarriers
+            first = self._noise_col
+            scale = self._noise_scale[chosen[rows]][:, None]
+            real = 0.0 + scale * z[rows, first : first + block]
+            imag = 0.0 + scale * z[rows, first + block : first + 2 * block]
+            noisy[rows] += (real + 1j * imag).reshape(-1, *noisy.shape[1:])
         return noisy

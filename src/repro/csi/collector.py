@@ -8,17 +8,23 @@ the CSI tool reports one CSI group per received packet.  The
 optional packet loss.
 
 Within one monitoring window the scene is static, so the clean CFR is
-computed once per :meth:`PacketCollector.collect` call and only the
-per-packet impairments (and loss draws) run in the acquisition loop.  The
-draws consume the collector's RNG stream in exactly the same order as the
-historical per-packet path (loss draw, then impairment draws, per ping), so
-collected traces are bit-identical to the uncached implementation.
+computed once per window and only the per-packet randomness runs in the
+acquisition loop, :meth:`PacketCollector.draw_windows`.  It consumes the
+collector's RNG stream in exactly the order of the historical per-packet
+path — loss draw, then impairment draws, per ping — drawing into an
+:class:`~repro.channel.noise.ImpairmentDrawPlan` at two generator calls per
+packet, with each lossless window one tight burst.  Applying the plan is
+separate from drawing into it: :meth:`~PacketCollector.collect` and
+:meth:`~PacketCollector.collect_batch` apply their own plan and slice it
+into traces, while the fleet builder draws many links' windows (each from
+its own collector stream) into one shared plan and applies it once.
+Collected traces are bit-identical to the uncached implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from repro.channel.channel import ChannelSimulator
 from repro.channel.constants import DEFAULT_PACKET_RATE_HZ
 from repro.channel.geometry import Point
 from repro.channel.human import HumanBody
+from repro.channel.noise import ImpairmentDrawPlan
 from repro.csi.trace import CSITrace
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_probability
@@ -118,39 +125,23 @@ class PacketCollector:
         how a fixed-size capture is gathered on hardware.
 
         The scene is static within the capture, so the clean CFR is
-        synthesized once; the acquisition loop only *draws* the per-packet
+        synthesized once; :meth:`draw_windows` only *draws* the per-packet
         randomness (loss draw, then impairment draws, per ping — exactly the
-        historical RNG consumption order, via
-        :meth:`~repro.channel.noise.ImpairmentModel.draw_plan`) and the
-        impairment arithmetic runs once for the whole window, array at a
-        time.  Traces are bit-identical to sampling every packet from
-        scratch at a fraction of the cost.
+        sequential RNG consumption order) and the impairment arithmetic runs
+        once for the whole window, array at a time.  Traces are
+        bit-identical to sampling every packet from scratch at a fraction of
+        the cost.
         """
         if num_packets < 1:
             raise ValueError(f"num_packets must be >= 1, got {num_packets}")
-        interval = 1.0 / self.packet_rate_hz
         with obs.span("collect.synthesize"):
             clean = self.simulator.clean_cfr(humans)
             plan = self.simulator.impairment_plan(clean, num_packets=num_packets)
-        timestamps = np.empty(num_packets, dtype=float)
-        t = start_time
-        consecutive_losses = 0
         with obs.span("collect.impair"):
-            while plan.num_drawn < num_packets:
-                t += interval
-                if self._ping_lost(consecutive_losses):
-                    consecutive_losses += 1
-                    continue
-                consecutive_losses = 0
-                timestamps[plan.num_drawn] = t
-                plan.draw_next(self._rng)
+            timestamps = self.draw_windows(plan, [0], [num_packets], start_time=start_time)
             csi = plan.apply()
         obs.count("collect.packets", num_packets)
-        return CSITrace(
-            csi=csi,
-            timestamps=timestamps,
-            label=label,
-        )
+        return CSITrace(csi=csi, timestamps=timestamps, label=label)
 
     def collect_batch(
         self,
@@ -165,12 +156,10 @@ class PacketCollector:
         Byte-identical to calling :meth:`collect` once per window with the
         corresponding clean CFR: the windows share a single
         :class:`~repro.channel.noise.ImpairmentDrawPlan` (candidate ``w`` =
-        window ``w``) and the acquisition loop walks the windows in order,
-        making exactly the sequential path's generator calls — loss draw,
-        then impairment draws, per ping, with the loss streak and the time
-        axis restarting at every window boundary just as separate
-        :meth:`collect` calls would.  The impairment arithmetic then runs
-        once for all windows in one vectorised ``plan.apply()``.
+        window ``w``), :meth:`draw_windows` walks them in order making
+        exactly the sequential path's generator calls, and the impairment
+        arithmetic then runs once for all windows in one vectorised
+        ``plan.apply()`` sliced back into per-window traces.
 
         Parameters
         ----------
@@ -202,25 +191,13 @@ class PacketCollector:
             raise ValueError(
                 f"got {len(labels)} labels for {len(counts)} windows"
             )
-        interval = 1.0 / self.packet_rate_hz
         total = sum(counts)
         with obs.span("collect.synthesize"):
             plan = self.simulator.impairment_plan(cleans, num_packets=total)
-        timestamps = np.empty(total, dtype=float)
         with obs.span("collect.impair"):
-            for window, count in enumerate(counts):
-                drawn = 0
-                t = start_time
-                consecutive_losses = 0
-                while drawn < count:
-                    t += interval
-                    if self._ping_lost(consecutive_losses):
-                        consecutive_losses += 1
-                        continue
-                    consecutive_losses = 0
-                    timestamps[plan.num_drawn] = t
-                    plan.draw_next(self._rng, candidate=window)
-                    drawn += 1
+            timestamps = self.draw_windows(
+                plan, range(len(counts)), counts, start_time=start_time
+            )
             csi = plan.apply()
         obs.count("collect.packets", total)
         traces: list[CSITrace] = []
@@ -235,6 +212,56 @@ class PacketCollector:
             )
             offset += count
         return traces
+
+    def draw_windows(
+        self,
+        plan: ImpairmentDrawPlan,
+        candidates: Iterable[int],
+        counts: Sequence[int],
+        *,
+        start_time: float = 0.0,
+    ) -> np.ndarray:
+        """The acquisition loop: draw static-scene windows into *plan*.
+
+        Window ``w`` receives ``counts[w]`` packets of plan candidate
+        ``candidates[w]``, appended to the plan in window order.  Per ping
+        the collector's generator makes the loss draw, then the packet's
+        impairment draws, with the loss streak and the time axis restarting
+        at *start_time* for every window — exactly what one :meth:`collect`
+        call per window does.  Without packet loss there are no loss draws
+        to interleave, so each window is one tight
+        :meth:`~repro.channel.noise.ImpairmentDrawPlan.draw_next` burst.
+
+        The plan may be shared with other collectors (each drawing from its
+        own stream); applying it is left to the caller.  Returns the
+        received packets' timestamps, concatenated in window order.
+        """
+        interval = 1.0 / self.packet_rate_hz
+        timestamps = np.empty(sum(counts), dtype=float)
+        offset = 0
+        for candidate, count in zip(candidates, counts):
+            end = offset + count
+            if self.loss_probability <= 0:
+                # A running sum, so every stamp is bit-identical to repeated
+                # t += interval.
+                steps = np.full(count + 1, interval)
+                steps[0] = start_time
+                timestamps[offset:end] = np.cumsum(steps)[1:]
+                plan.draw_next(self._rng, candidate, count)
+                offset = end
+                continue
+            t = start_time
+            consecutive_losses = 0
+            while offset < end:
+                t += interval
+                if self._ping_lost(consecutive_losses):
+                    consecutive_losses += 1
+                    continue
+                consecutive_losses = 0
+                timestamps[offset] = t
+                plan.draw_next(self._rng, candidate)
+                offset += 1
+        return timestamps
 
     def collect_empty(self, *, num_packets: int, label: str = "empty") -> CSITrace:
         """Collect a static (no human) profile trace."""

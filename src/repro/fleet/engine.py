@@ -363,8 +363,9 @@ def _setup_streams(
     """Build the (calibrated session, traffic) streams of one shard.
 
     Traffic comes from :func:`~repro.fleet.traffic.build_fleet_traffic`
-    (geometry-shared clean CFRs, one impairment plan per link) unless
-    prebuilt *traffics* are handed in by the setup pool.
+    (geometry-shared clean CFRs, one shared impairment plan per chunk of
+    links) unless prebuilt *traffics* are handed in by the setup pool.  Each
+    link's session calibration is timed as one ``fleet.calibrate`` span.
     """
     links = _shard_links(indices)
     if traffics is None:
@@ -373,7 +374,8 @@ def _setup_streams(
     census: dict[str, int] = {}
     for link, traffic in zip(links, traffics):
         session = config.pipeline.session(link, link_name=traffic.profile.name)
-        session.calibrate(traffic.calibration)
+        with obs.span("fleet.calibrate"):
+            session.calibrate(traffic.calibration)
         census[traffic.profile.rate_class] = (
             census.get(traffic.profile.rate_class, 0) + 1
         )

@@ -16,11 +16,16 @@ link reports comes from the paper's channel simulator: a per-link calibration
 capture of the empty environment plus a pool of monitoring packets split
 between empty and occupied scenes, cycled over the arrival schedule so the
 link alternates idle and occupied bursts.
+
+:func:`build_link_traffic` synthesises one link on its own and is the
+reference; :func:`build_fleet_traffic` synthesises a shard's links as one
+batched program — clean CFRs once per geometry, one shared impairment plan
+per chunk of links — byte-identical per link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -28,11 +33,12 @@ import numpy as np
 from repro import obs
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
+from repro.channel.noise import ImpairmentModel
 from repro.channel.propagation import PropagationModel
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
 from repro.experiments.scenarios import human_grid
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import derive_rngs, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channel.channel import Link
@@ -55,15 +61,15 @@ def derive_link_seed(seed: int, link_index: int) -> int:
     return seed + 1000 * link_index
 
 
-def _stream_rng(link_seed: int, key: str) -> np.random.Generator:
-    """One named, order-independent random stream of a link.
+def _link_streams(link_seed: int, *keys: str) -> list[np.random.Generator]:
+    """Named, order-independent random streams of a link, one per key.
 
-    Each stream derives from a *fresh* generator of the link seed via
-    :func:`~repro.utils.rng.derive_rng`, so the streams are mutually
+    Every stream derives from the same fresh generator of the link seed via
+    :func:`~repro.utils.rng.derive_rngs`, so the streams are mutually
     independent and adding a new stream never shifts the draws of an
     existing one.
     """
-    return derive_rng(ensure_rng(link_seed), key)
+    return derive_rngs(ensure_rng(link_seed), keys)
 
 
 def poisson_arrival_times(
@@ -206,6 +212,61 @@ class LinkTraffic:
         )
 
 
+#: Packets one shared impairment plan of :func:`build_fleet_traffic` holds
+#: before it is applied.  Bounds the plan's draw buffer and the temporaries
+#: of its ``apply()`` (each ~1.5 KB per packet on the 3x30 grid), so set-up
+#: memory does not grow with the shard beyond the traffic itself.
+_PLAN_PACKET_BUDGET = 4096
+
+
+def _link_simulator(link: "Link", seed: int) -> ChannelSimulator:
+    """The channel simulator a fleet link samples its CSI from."""
+    return ChannelSimulator(
+        link, propagation=PropagationModel(tx_power=link.tx_power), seed=seed
+    )
+
+
+def _pool_split(pool_packets: int, occupied_fraction: float) -> tuple[int, int]:
+    """``(empty, occupied)`` packet counts of a link's monitoring pool."""
+    occupied = min(max(int(round(pool_packets * occupied_fraction)), 0), pool_packets)
+    return pool_packets - occupied, occupied
+
+
+def _pool_occupancy(empty_packets: int, occupied_packets: int) -> np.ndarray:
+    return np.concatenate(
+        [np.zeros(empty_packets, dtype=bool), np.ones(occupied_packets, dtype=bool)]
+    )
+
+
+def _occupied_scene(link: "Link") -> HumanBody:
+    """The person of a link's occupied pool scene: mid-grid."""
+    grid = human_grid(link)
+    return HumanBody(position=grid[len(grid) // 2])
+
+
+def _link_schedule(
+    link_index: int,
+    link: "Link",
+    class_rng: np.random.Generator,
+    arrivals_rng: np.random.Generator,
+    *,
+    duration_s: float,
+    class_mix: Mapping[str, float],
+    class_rates_hz: Mapping[str, float],
+) -> tuple[LinkProfile, np.ndarray]:
+    """A link's profile (its rate class drawn) and its arrival schedule."""
+    rate_class = assign_rate_class(class_rng, class_mix)
+    profile = LinkProfile(
+        index=link_index,
+        name=f"link-{link_index:05d}",
+        rate_class=rate_class,
+        packet_rate_hz=float(class_rates_hz[rate_class]),
+        case_name=getattr(link, "name", "") or "",
+    )
+    arrivals = poisson_arrival_times(arrivals_rng, profile.packet_rate_hz, duration_s)
+    return profile, arrivals
+
+
 def build_link_traffic(
     link_index: int,
     link: "Link",
@@ -222,60 +283,62 @@ def build_link_traffic(
 
     Every random stream (class assignment, arrival schedule, channel
     impairments, collector draws) is derived from ``(seed, link_index)``
-    alone — see :func:`derive_link_seed` / :func:`_stream_rng` — so the same
-    link is byte-identical no matter which worker builds it or how large the
-    population is.
+    alone — see :func:`derive_link_seed` / :func:`_link_streams` — so the
+    same link is byte-identical no matter which worker builds it or how
+    large the population is.
     """
-    link_seed = derive_link_seed(seed, link_index)
-    rate_class = assign_rate_class(_stream_rng(link_seed, "class"), class_mix)
-    profile = LinkProfile(
-        index=link_index,
-        name=f"link-{link_index:05d}",
-        rate_class=rate_class,
-        packet_rate_hz=float(class_rates_hz[rate_class]),
-        case_name=getattr(link, "name", "") or "",
+    class_rng, arrivals_rng, channel_rng, collector_rng = _link_streams(
+        derive_link_seed(seed, link_index), "class", "arrivals", "channel", "collector"
     )
-    arrivals = poisson_arrival_times(
-        _stream_rng(link_seed, "arrivals"), profile.packet_rate_hz, duration_s
-    )
-
-    simulator = ChannelSimulator(
+    profile, arrivals = _link_schedule(
+        link_index,
         link,
-        propagation=PropagationModel(tx_power=link.tx_power),
-        seed=int(_stream_rng(link_seed, "channel").integers(0, 2**31 - 1)),
+        class_rng,
+        arrivals_rng,
+        duration_s=duration_s,
+        class_mix=class_mix,
+        class_rates_hz=class_rates_hz,
     )
-    collector = pipeline.collector(simulator, rng=_stream_rng(link_seed, "collector"))
+    simulator = _link_simulator(link, int(channel_rng.integers(0, 2**31 - 1)))
+    collector = pipeline.collector(simulator, rng=collector_rng)
     calibration = collector.collect(
         None,
         num_packets=pipeline.calibration_packets,
         label=f"{profile.name}/calibration",
     )
 
-    occupied_packets = int(round(pool_packets * occupied_fraction))
-    occupied_packets = min(max(occupied_packets, 0), pool_packets)
-    empty_packets = pool_packets - occupied_packets
+    empty_packets, occupied_packets = _pool_split(pool_packets, occupied_fraction)
     pools: list[CSITrace] = []
     if empty_packets:
         pools.append(collector.collect(None, num_packets=empty_packets))
     if occupied_packets:
-        grid = human_grid(link)
-        human = HumanBody(position=grid[len(grid) // 2])
-        pools.append(collector.collect([human], num_packets=occupied_packets))
-    pool_csi = np.concatenate([trace.csi for trace in pools], axis=0)
-    pool_occupied = np.concatenate(
-        [
-            np.zeros(empty_packets, dtype=bool),
-            np.ones(occupied_packets, dtype=bool),
-        ]
-    )
+        pools.append(
+            collector.collect([_occupied_scene(link)], num_packets=occupied_packets)
+        )
     return LinkTraffic(
         profile=profile,
         arrivals=arrivals,
         calibration=calibration,
-        pool_csi=pool_csi,
-        pool_occupied=pool_occupied,
+        pool_csi=np.concatenate([trace.csi for trace in pools], axis=0),
+        pool_occupied=_pool_occupancy(empty_packets, occupied_packets),
         subcarrier_indices=calibration.subcarrier_indices,
     )
+
+
+@dataclass
+class _PlanGroup:
+    """Geometries whose links can draw into one shared impairment plan.
+
+    A plan fixes the impairment model and the subcarrier grid (and so the
+    CSI shape); candidates ``2g`` / ``2g + 1`` are geometry ``g``'s empty
+    and occupied clean CFRs.
+    """
+
+    model: ImpairmentModel
+    subcarrier_indices: np.ndarray
+    cleans: list[np.ndarray] = field(default_factory=list)
+    first_candidate: dict[int, int] = field(default_factory=dict)
+    positions: list[int] = field(default_factory=list)
 
 
 def build_fleet_traffic(
@@ -290,7 +353,7 @@ def build_fleet_traffic(
     class_mix: Mapping[str, float],
     class_rates_hz: Mapping[str, float],
 ) -> list[LinkTraffic]:
-    """Synthesise many links' traffic through shared batched plans.
+    """Synthesise many links' traffic as one batched impairment program.
 
     Byte-identical to :func:`build_link_traffic` per link (the parity suite
     pins it), at a fraction of the cost for realistic populations:
@@ -304,10 +367,17 @@ def build_fleet_traffic(
       stream.  (:func:`build_link_traffic` seeds its simulator from the
       link's "channel" stream; that stream is independent of every other, so
       not consuming it changes no other draw.)
-    * Each link's three captures (calibration, empty pool, occupied pool)
-      run through one shared impairment plan via
-      :meth:`~repro.csi.collector.PacketCollector.collect_batch`, drawing
-      the "collector" stream in exactly the sequential per-capture order.
+    * Geometries sharing an impairment model and subcarrier grid form one
+      group, and the group's links draw into one shared
+      :class:`~repro.channel.noise.ImpairmentDrawPlan` per chunk of links.
+      Each link's three captures (calibration, empty pool, occupied pool)
+      are drawn from its own "collector" stream by
+      :meth:`~repro.csi.collector.PacketCollector.draw_windows` in exactly
+      the sequential per-capture order — two generator calls per packet —
+      so which links share a plan changes no draw.
+    * Chunks hold at most ``_PLAN_PACKET_BUDGET`` packets (at least one
+      link).  Each gets a single ``plan.apply()``, and every link's
+      calibration trace and monitoring pool are views of the chunk's array.
 
     *links* holds the geometry of each entry of *indices*, aligned
     one-to-one (entries may repeat — they are deduplicated by identity).
@@ -316,74 +386,85 @@ def build_fleet_traffic(
         raise ValueError(
             f"got {len(links)} links for {len(indices)} link indices"
         )
-    occupied_packets = int(round(pool_packets * occupied_fraction))
-    occupied_packets = min(max(occupied_packets, 0), pool_packets)
-    empty_packets = pool_packets - occupied_packets
+    empty_packets, occupied_packets = _pool_split(pool_packets, occupied_fraction)
+    calibration_packets = pipeline.calibration_packets
+    # A link's captures in build_link_traffic's order: (scene, packets),
+    # scene 0 the empty room and 1 the occupied one.
+    windows = [(0, calibration_packets), (0, empty_packets), (1, occupied_packets)]
+    scenes = [scene for scene, count in windows if count]
+    counts = [count for _, count in windows if count]
+    link_packets = calibration_packets + pool_packets
+    pool_occupied = _pool_occupancy(empty_packets, occupied_packets)
 
-    # One (simulator, [empty, occupied] cleans) per distinct geometry.
-    cache: dict[int, tuple[ChannelSimulator, np.ndarray]] = {}
+    simulators: dict[int, ChannelSimulator] = {}
+    group_of: dict[int, _PlanGroup] = {}
+    groups: dict[tuple, _PlanGroup] = {}
     with obs.span("collect.batch_synthesize"):
-        for link in links:
-            if id(link) in cache:
-                continue
-            simulator = ChannelSimulator(
-                link,
-                propagation=PropagationModel(tx_power=link.tx_power),
-                seed=0,
-            )
-            grid = human_grid(link)
-            human = HumanBody(position=grid[len(grid) // 2])
-            cache[id(link)] = (simulator, simulator.clean_cfr_batch([None, [human]]))
+        for position, link in enumerate(links):
+            if id(link) not in simulators:
+                simulator = _link_simulator(link, seed=0)
+                cleans = simulator.clean_cfr_batch([None, [_occupied_scene(link)]])
+                key = (
+                    simulator.impairments,
+                    simulator.subcarrier_indices.tobytes(),
+                    cleans.shape,
+                )
+                group = groups.setdefault(
+                    key, _PlanGroup(simulator.impairments, simulator.subcarrier_indices)
+                )
+                group.first_candidate[id(link)] = 2 * len(group.cleans)
+                group.cleans.append(cleans)
+                simulators[id(link)] = simulator
+                group_of[id(link)] = group
+            group_of[id(link)].positions.append(position)
 
-    traffics: list[LinkTraffic] = []
-    for link_index, link in zip(indices, links):
-        simulator, cleans = cache[id(link)]
-        with obs.span("collect.plan"):
-            link_seed = derive_link_seed(seed, link_index)
-            rate_class = assign_rate_class(_stream_rng(link_seed, "class"), class_mix)
-            profile = LinkProfile(
-                index=link_index,
-                name=f"link-{link_index:05d}",
-                rate_class=rate_class,
-                packet_rate_hz=float(class_rates_hz[rate_class]),
-                case_name=getattr(link, "name", "") or "",
+    built: dict[int, LinkTraffic] = {}
+    links_per_plan = max(1, _PLAN_PACKET_BUDGET // link_packets)
+    for group in groups.values():
+        candidates = np.concatenate(group.cleans)
+        for first in range(0, len(group.positions), links_per_plan):
+            chunk = group.positions[first : first + links_per_plan]
+            plan = group.model.draw_plan(
+                candidates, group.subcarrier_indices, num_packets=len(chunk) * link_packets
             )
-            arrivals = poisson_arrival_times(
-                _stream_rng(link_seed, "arrivals"), profile.packet_rate_hz, duration_s
-            )
-            window_cleans = [cleans[0]]
-            counts = [pipeline.calibration_packets]
-            labels = [f"{profile.name}/calibration"]
-            if empty_packets:
-                window_cleans.append(cleans[0])
-                counts.append(empty_packets)
-                labels.append("")
-            if occupied_packets:
-                window_cleans.append(cleans[1])
-                counts.append(occupied_packets)
-                labels.append("")
-        collector = pipeline.collector(
-            simulator, rng=_stream_rng(link_seed, "collector")
-        )
-        traces = collector.collect_batch(
-            np.stack(window_cleans), counts, labels=labels
-        )
-        calibration = traces[0]
-        pool_csi = np.concatenate([trace.csi for trace in traces[1:]], axis=0)
-        pool_occupied = np.concatenate(
-            [
-                np.zeros(empty_packets, dtype=bool),
-                np.ones(occupied_packets, dtype=bool),
-            ]
-        )
-        traffics.append(
-            LinkTraffic(
-                profile=profile,
-                arrivals=arrivals,
-                calibration=calibration,
-                pool_csi=pool_csi,
-                pool_occupied=pool_occupied,
-                subcarrier_indices=calibration.subcarrier_indices,
-            )
-        )
-    return traffics
+            drawn = []
+            for position in chunk:
+                link_index, link = indices[position], links[position]
+                class_rng, arrivals_rng, collector_rng = _link_streams(
+                    derive_link_seed(seed, link_index), "class", "arrivals", "collector"
+                )
+                with obs.span("collect.plan"):
+                    profile, arrivals = _link_schedule(
+                        link_index,
+                        link,
+                        class_rng,
+                        arrivals_rng,
+                        duration_s=duration_s,
+                        class_mix=class_mix,
+                        class_rates_hz=class_rates_hz,
+                    )
+                collector = pipeline.collector(simulators[id(link)], rng=collector_rng)
+                base = group.first_candidate[id(link)]
+                timestamps = collector.draw_windows(
+                    plan, [base + scene for scene in scenes], counts
+                )
+                drawn.append((position, profile, arrivals, timestamps))
+            with obs.span("collect.impair"):
+                csi = plan.apply()
+            obs.count("collect.packets", plan.num_drawn)
+            for k, (position, profile, arrivals, timestamps) in enumerate(drawn):
+                link_csi = csi[k * link_packets : (k + 1) * link_packets]
+                calibration = CSITrace(
+                    csi=link_csi[:calibration_packets],
+                    timestamps=timestamps[:calibration_packets],
+                    label=f"{profile.name}/calibration",
+                )
+                built[position] = LinkTraffic(
+                    profile=profile,
+                    arrivals=arrivals,
+                    calibration=calibration,
+                    pool_csi=link_csi[calibration_packets:],
+                    pool_occupied=pool_occupied.copy(),
+                    subcarrier_indices=calibration.subcarrier_indices,
+                )
+    return [built[position] for position in range(len(indices))]

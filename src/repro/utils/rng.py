@@ -8,7 +8,7 @@ of an experiment deterministically derives the seeds of every sub-component.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -45,7 +45,23 @@ def derive_rng(rng: np.random.Generator, *keys: Union[int, str]) -> np.random.Ge
         Arbitrary integers or strings identifying the child stream (for
         example ``derive_rng(rng, "packet", 17)``).
     """
+    return _child_rng(int(rng.integers(0, 2**31 - 1)), keys)
+
+
+def derive_rngs(
+    rng: np.random.Generator, keys: Sequence[Union[int, str]]
+) -> list[np.random.Generator]:
+    """Derive one child generator per key from a single parent draw.
+
+    ``derive_rngs(rng, keys)[i]`` equals ``derive_rng(copy, keys[i])`` for
+    identical copies of *rng*: every child is keyed off the same parent
+    draw, which advances *rng* once in total instead of once per child.
+    """
     base = int(rng.integers(0, 2**31 - 1))
+    return [_child_rng(base, (key,)) for key in keys]
+
+
+def _child_rng(base: int, keys: Sequence[Union[int, str]]) -> np.random.Generator:
     material = [base]
     for key in keys:
         if isinstance(key, str):

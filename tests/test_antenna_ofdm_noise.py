@@ -192,76 +192,3 @@ class TestImpairmentModel:
         a = model.apply(clean, indices, seed=77)
         b = model.apply(clean, indices, seed=77)
         assert np.allclose(a, b)
-
-
-class TestApplyBatch:
-    def _clean(self) -> np.ndarray:
-        rng = np.random.default_rng(0)
-        return rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
-
-    def _indices(self) -> np.ndarray:
-        return np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
-
-    def test_broadcasts_static_scene(self):
-        batch = ImpairmentModel().apply_batch(
-            self._clean(), self._indices(), num_packets=8, seed=1
-        )
-        assert batch.shape == (8, 3, 30)
-        # Per-packet draws differ, so no two packets are identical.
-        assert not np.allclose(batch[0], batch[1])
-
-    def test_accepts_per_packet_stack(self):
-        stack = np.stack([self._clean(), 2.0 * self._clean()])
-        batch = ImpairmentModel().apply_batch(stack, self._indices(), seed=1)
-        assert batch.shape == (2, 3, 30)
-
-    def test_noiseless_batch_is_identity(self):
-        clean = self._clean()
-        batch = ImpairmentModel().noiseless().apply_batch(
-            clean, self._indices(), num_packets=4, seed=5
-        )
-        assert np.array_equal(batch, np.broadcast_to(clean, (4, 3, 30)))
-
-    def test_deterministic_given_seed(self):
-        clean = self._clean()
-        a = ImpairmentModel().apply_batch(clean, self._indices(), num_packets=6, seed=9)
-        b = ImpairmentModel().apply_batch(clean, self._indices(), num_packets=6, seed=9)
-        assert np.array_equal(a, b)
-
-    def test_matches_apply_distribution(self):
-        # Same model, same clean CFR: the batched draws must reproduce the
-        # sequential path's noise level (distribution, not bit pattern).
-        clean = self._clean()
-        indices = self._indices()
-        model = ImpairmentModel(snr_db=15.0)
-        rng = np.random.default_rng(3)
-        sequential = np.stack([model.apply(clean, indices, seed=rng) for _ in range(400)])
-        batched = model.apply_batch(clean, indices, num_packets=400, seed=4)
-        err_seq = np.abs(np.abs(sequential) - np.abs(clean)[None]).mean()
-        err_bat = np.abs(np.abs(batched) - np.abs(clean)[None]).mean()
-        assert err_bat == pytest.approx(err_seq, rel=0.1)
-
-    def test_snr_tracks_each_packet_of_a_stack(self):
-        # A packet with 10x the amplitude gets 10x the noise amplitude.
-        clean = self._clean()
-        stack = np.stack([clean, 10.0 * clean])
-        model = ImpairmentModel(snr_db=20.0, cfo_phase=False, sfo_slope_std=0.0,
-                                agc_std_db=0.0, antenna_phase_offsets=False)
-        batch = model.apply_batch(stack, self._indices(), seed=11)
-        err_small = np.linalg.norm(batch[0] - stack[0])
-        err_big = np.linalg.norm(batch[1] - stack[1])
-        assert err_big == pytest.approx(10.0 * err_small, rel=0.5)
-
-    def test_shape_validation(self):
-        model = ImpairmentModel()
-        with pytest.raises(ValueError):
-            model.apply_batch(self._clean(), self._indices())  # num_packets missing
-        with pytest.raises(ValueError):
-            model.apply_batch(self._clean(), self._indices(), num_packets=0)
-        with pytest.raises(ValueError):
-            model.apply_batch(np.zeros((2, 3, 30), dtype=complex), self._indices(),
-                              num_packets=5)
-        with pytest.raises(ValueError):
-            model.apply_batch(np.zeros(30, dtype=complex), self._indices(), num_packets=2)
-        with pytest.raises(ValueError):
-            model.apply_batch(self._clean(), np.zeros(29), num_packets=2)

@@ -18,6 +18,7 @@ from repro.api.config import PipelineConfig
 from repro.api.monitor import MultiLinkMonitor, calibrate_shared, score_windows_shared
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
+from repro.channel.noise import ImpairmentModel
 from repro.core.detector import (
     BaselineDetector,
     SubcarrierWeightingDetector,
@@ -34,6 +35,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import evaluation_cases
 from repro.fleet.engine import FleetConfig, run_fleet
+from repro.fleet import traffic as traffic_module
 from repro.fleet.traffic import build_fleet_traffic, build_link_traffic
 
 
@@ -389,13 +391,8 @@ FLEET_TRAFFIC_KW = dict(
 
 
 class TestFleetTrafficParity:
-    @pytest.mark.parametrize("occupied_fraction", [0.0, 0.5, 1.0])
-    def test_matches_per_link_builder(self, links, occupied_fraction):
-        """Geometry-shared cleans + one plan per link == scalar builder."""
-        pipeline = PipelineConfig(detector="baseline", calibration_packets=30)
-        kw = dict(FLEET_TRAFFIC_KW, occupied_fraction=occupied_fraction)
-        indices = list(range(8))
-        geometry = [links[i % len(links)] for i in indices]
+    @staticmethod
+    def assert_matches_per_link_builder(indices, geometry, pipeline, kw):
         batched = build_fleet_traffic(indices, geometry, pipeline=pipeline, **kw)
         for index, link, traffic in zip(indices, geometry, batched):
             expected = build_link_traffic(index, link, pipeline=pipeline, **kw)
@@ -406,6 +403,15 @@ class TestFleetTrafficParity:
             assert np.array_equal(traffic.pool_occupied, expected.pool_occupied)
             assert traffic.subcarrier_indices == expected.subcarrier_indices
 
+    @pytest.mark.parametrize("occupied_fraction", [0.0, 0.5, 1.0])
+    def test_matches_per_link_builder(self, links, occupied_fraction):
+        """Geometry-shared cleans + one shared plan == scalar builder."""
+        pipeline = PipelineConfig(detector="baseline", calibration_packets=30)
+        kw = dict(FLEET_TRAFFIC_KW, occupied_fraction=occupied_fraction)
+        indices = list(range(8))
+        geometry = [links[i % len(links)] for i in indices]
+        self.assert_matches_per_link_builder(indices, geometry, pipeline, kw)
+
     def test_lossy_pipeline_matches_per_link_builder(self, links):
         pipeline = PipelineConfig(
             detector="baseline", calibration_packets=30, loss_probability=0.25
@@ -414,6 +420,61 @@ class TestFleetTrafficParity:
         expected = build_link_traffic(3, links[3], pipeline=pipeline, **FLEET_TRAFFIC_KW)
         assert np.array_equal(batched[0].pool_csi, expected.pool_csi)
         assert_traces_equal(batched[0].calibration, expected.calibration)
+
+    def test_population_spanning_plan_chunks_matches_per_link_builder(self, links):
+        """More packets than one shared plan holds: chunk boundaries crossed."""
+        pipeline = PipelineConfig(detector="baseline", calibration_packets=30)
+        link_packets = pipeline.calibration_packets + FLEET_TRAFFIC_KW["pool_packets"]
+        count = traffic_module._PLAN_PACKET_BUDGET // link_packets + 3
+        assert count * link_packets > traffic_module._PLAN_PACKET_BUDGET
+        indices = list(range(count))
+        geometry = [links[i % len(links)] for i in indices]
+        with obs.recording() as recorder:
+            self.assert_matches_per_link_builder(indices, geometry, pipeline, FLEET_TRAFFIC_KW)
+        # One plan group (every geometry has the default impairments) split
+        # into two chunks, plus the per-link builder's three collects a link.
+        assert recorder.snapshot().metrics.histograms["collect.impair"].count == 2 + 3 * count
+
+    def test_lossy_links_across_small_chunks_match_per_link_builder(
+        self, links, monkeypatch
+    ):
+        """Loss draws interleave with shared-plan draws on every link."""
+        monkeypatch.setattr(traffic_module, "_PLAN_PACKET_BUDGET", 120)
+        pipeline = PipelineConfig(
+            detector="baseline", calibration_packets=30, loss_probability=0.3
+        )
+        indices = list(range(3, 14))
+        geometry = [links[i % len(links)] for i in indices]
+        self.assert_matches_per_link_builder(indices, geometry, pipeline, FLEET_TRAFFIC_KW)
+
+    def test_non_default_impairments_draw_into_their_own_plan(self, links, monkeypatch):
+        """A geometry with its own ImpairmentModel never shares a plan."""
+        odd = links[2]
+        default_simulator = traffic_module._link_simulator
+
+        def simulator(link, seed):
+            built = default_simulator(link, seed)
+            if link is odd:
+                return built.with_impairments(
+                    ImpairmentModel(snr_db=12.0, sfo_slope_std=0.2, agc_std_db=1.5)
+                )
+            return built
+
+        monkeypatch.setattr(traffic_module, "_link_simulator", simulator)
+        pipeline = PipelineConfig(
+            detector="baseline", calibration_packets=30, loss_probability=0.1
+        )
+        indices = list(range(12))
+        geometry = [links[i % len(links)] for i in indices]
+        with obs.recording() as recorder:
+            batched = build_fleet_traffic(indices, geometry, pipeline=pipeline, **FLEET_TRAFFIC_KW)
+        # Two groups, one chunk each: the default geometries and the odd one.
+        assert recorder.snapshot().metrics.histograms["collect.impair"].count == 2
+        self.assert_matches_per_link_builder(indices, geometry, pipeline, FLEET_TRAFFIC_KW)
+        # The odd geometry's impairments really differ from the default ones.
+        monkeypatch.setattr(traffic_module, "_link_simulator", default_simulator)
+        default = build_link_traffic(2, odd, pipeline=pipeline, **FLEET_TRAFFIC_KW)
+        assert not np.array_equal(batched[2].pool_csi, default.pool_csi)
 
     def test_misaligned_links_rejected(self, links):
         pipeline = PipelineConfig(detector="baseline")

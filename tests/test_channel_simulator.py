@@ -105,14 +105,6 @@ class TestSampling:
         assert a.shape == (3, 30)
         assert not np.allclose(a, b)
 
-    def test_sample_burst_shape(self, simulator, human):
-        burst = simulator.sample_burst(human, num_packets=7, seed=3)
-        assert burst.shape == (7, 3, 30)
-
-    def test_sample_burst_rejects_zero_packets(self, simulator):
-        with pytest.raises(ValueError):
-            simulator.sample_burst(None, num_packets=0)
-
     def test_sample_trajectory_one_packet_per_position(self, simulator):
         positions = [Point(3.0, 2.0), Point(3.5, 2.5), Point(4.0, 3.0)]
         packets = simulator.sample_trajectory(positions, seed=4)
@@ -130,7 +122,7 @@ class TestSampling:
         clone = parent.with_impairments(ImpairmentModel(snr_db=10.0))
         state_after_clone = parent._rng.bit_generator.state
         clone.sample_packet(None)
-        clone.sample_burst(None, num_packets=5)
+        clone.sample_trajectory([Point(3.0, 2.0), Point(3.5, 2.5)])
         assert parent._rng.bit_generator.state == state_after_clone
 
     def test_with_impairments_clone_stream_is_deterministic(self, link):
@@ -138,12 +130,6 @@ class TestSampling:
         a = ChannelSimulator(link, seed=42).with_impairments(ImpairmentModel(snr_db=10.0))
         b = ChannelSimulator(link, seed=42).with_impairments(ImpairmentModel(snr_db=10.0))
         assert np.array_equal(a.sample_packet(None), b.sample_packet(None))
-
-    def test_sample_burst_reproducible_and_varied(self, simulator, human):
-        a = simulator.sample_burst(human, num_packets=5, seed=8)
-        b = simulator.sample_burst(human, num_packets=5, seed=8)
-        assert np.array_equal(a, b)
-        assert not np.allclose(a[0], a[1])
 
     def test_impair_consumes_rng_like_sample_packet(self, link):
         # impair() on a cached clean CFR is the per-packet path split in two:

@@ -498,11 +498,15 @@ class TestOnOffParity:
             ),
         )
         baseline = run_fleet(config).event_digest()
-        with obs.recording():
+        with obs.recording() as inline:
             enabled_1 = run_fleet(config).event_digest()
         with obs.recording() as recorder:
             enabled_2 = run_fleet(config, max_workers=2).event_digest()
         assert enabled_1 == baseline
+        inline_histograms = inline.snapshot().metrics.histograms
+        assert inline_histograms["fleet.calibrate"].count == config.links
+        assert inline_histograms["collect.plan"].count == config.links
+        assert inline_histograms["collect.batch_synthesize"].count == 1
         # Sharded workers return snapshots; the merged metrics cover both
         # shards and the event stream still matches byte for byte.
         assert enabled_2 == baseline
@@ -512,6 +516,8 @@ class TestOnOffParity:
         # plans each of its links.
         assert snapshot.metrics.histograms["collect.batch_synthesize"].count == 2
         assert snapshot.metrics.histograms["collect.plan"].count == config.links
+        # Every link's session calibration is attributed, once per link.
+        assert snapshot.metrics.histograms["fleet.calibrate"].count == config.links
 
     def test_sweep_store_bytes_identical_with_obs_enabled(self, tmp_path):
         from repro.experiments.runner import EvaluationConfig

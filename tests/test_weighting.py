@@ -9,6 +9,7 @@ from repro.aoa.music import PseudoSpectrum
 from repro.core.path_weighting import PathWeighting, uniform_path_weighting
 from repro.core.subcarrier_weighting import SubcarrierWeighting, SubcarrierWeights
 from repro.csi import CSITrace
+from repro.csi.collector import PacketCollector
 
 
 class TestSubcarrierWeights:
@@ -81,8 +82,8 @@ class TestSubcarrierWeighting:
 
     def test_sensitive_subcarriers_weighted_up(self, clean_simulator, human):
         """Weights concentrate on the subcarriers whose dB change is largest."""
-        burst_empty = clean_simulator.sample_burst(None, num_packets=10, seed=1)
-        burst_human = clean_simulator.sample_burst(human, num_packets=10, seed=2)
+        burst_empty = PacketCollector(clean_simulator, seed=1).collect(None, num_packets=10).csi
+        burst_human = PacketCollector(clean_simulator, seed=2).collect(human, num_packets=10).csi
         trace = CSITrace(csi=burst_human)
         weights = SubcarrierWeighting(use_stability_ratio=False).weights_from_trace(trace)
         delta = 10 * np.log10(
