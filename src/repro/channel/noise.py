@@ -297,20 +297,12 @@ class ImpairmentDrawPlan:
             raise IndexError(f"candidate {candidate} out of range")
         self._chosen[start:end] = candidate
         rows = self._normals[start:end, : self._widths[candidate]]
-        if self._uniforms is None:
-            # No per-packet uniform separates the rows, so the burst is one
-            # run of consecutive standard normals.
-            if rows.size and rows.flags.c_contiguous:
-                rng.standard_normal(out=rows)
-            elif rows.size:
-                rows[...] = rng.standard_normal(rows.shape)
-        elif rows.shape[1]:
-            random, normal, uniforms = rng.random, rng.standard_normal, self._uniforms
-            for p, row in zip(range(start, end), rows):
+        random, normal, uniforms = rng.random, rng.standard_normal, self._uniforms
+        for p, row in zip(range(start, end), rows):
+            if uniforms is not None:
                 uniforms[p] = random()
+            if row.size:
                 normal(out=row)
-        else:
-            self._uniforms[start:end] = rng.random(count)
         self._count = end
 
     def apply(self) -> np.ndarray:

@@ -337,8 +337,21 @@ class _PlanGroup:
     model: ImpairmentModel
     subcarrier_indices: np.ndarray
     cleans: list[np.ndarray] = field(default_factory=list)
-    first_candidate: dict[int, int] = field(default_factory=dict)
     positions: list[int] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """One link geometry of a shard.
+
+    Holds the geometry's simulator, its plan group and the index of its
+    empty-scene candidate in that group's plans (the occupied scene is the
+    next candidate).
+    """
+
+    simulator: ChannelSimulator
+    group: _PlanGroup
+    first_candidate: int
 
 
 def build_fleet_traffic(
@@ -396,12 +409,12 @@ def build_fleet_traffic(
     link_packets = calibration_packets + pool_packets
     pool_occupied = _pool_occupancy(empty_packets, occupied_packets)
 
-    simulators: dict[int, ChannelSimulator] = {}
-    group_of: dict[int, _PlanGroup] = {}
+    geometries: dict[int, _Geometry] = {}
     groups: dict[tuple, _PlanGroup] = {}
     with obs.span("collect.batch_synthesize"):
         for position, link in enumerate(links):
-            if id(link) not in simulators:
+            geometry = geometries.get(id(link))
+            if geometry is None:
                 simulator = _link_simulator(link, seed=0)
                 cleans = simulator.clean_cfr_batch([None, [_occupied_scene(link)]])
                 key = (
@@ -412,11 +425,10 @@ def build_fleet_traffic(
                 group = groups.setdefault(
                     key, _PlanGroup(simulator.impairments, simulator.subcarrier_indices)
                 )
-                group.first_candidate[id(link)] = 2 * len(group.cleans)
+                geometry = _Geometry(simulator, group, 2 * len(group.cleans))
                 group.cleans.append(cleans)
-                simulators[id(link)] = simulator
-                group_of[id(link)] = group
-            group_of[id(link)].positions.append(position)
+                geometries[id(link)] = geometry
+            geometry.group.positions.append(position)
 
     built: dict[int, LinkTraffic] = {}
     links_per_plan = max(1, _PLAN_PACKET_BUDGET // link_packets)
@@ -443,10 +455,10 @@ def build_fleet_traffic(
                         class_mix=class_mix,
                         class_rates_hz=class_rates_hz,
                     )
-                collector = pipeline.collector(simulators[id(link)], rng=collector_rng)
-                base = group.first_candidate[id(link)]
+                geometry = geometries[id(link)]
+                collector = pipeline.collector(geometry.simulator, rng=collector_rng)
                 timestamps = collector.draw_windows(
-                    plan, [base + scene for scene in scenes], counts
+                    plan, [geometry.first_candidate + scene for scene in scenes], counts
                 )
                 drawn.append((position, profile, arrivals, timestamps))
             with obs.span("collect.impair"):
