@@ -3,8 +3,8 @@
 Each rule statically enforces one of the conventions the repo's bit-parity
 guarantee rests on (see README, "Determinism contract"):
 
-* exactmath routing — last-ulp-divergent transcendentals go through
-  :mod:`repro.utils.exactmath` (DET001);
+* libm routing — last-ulp-divergent transcendentals go through the active
+  backend, whose ``exact`` kernels live in :mod:`repro.backend.exact` (DET001);
 * RNG discipline — all randomness derives from
   :func:`repro.utils.rng.ensure_rng` / :func:`~repro.utils.rng.derive_rng`
   (DET002), and library code never reads wall clocks or OS entropy (DET003);
@@ -29,15 +29,15 @@ from repro.analysis.base import FileContext, Rule
 from repro.analysis.registry import register_rule
 
 # --------------------------------------------------------------------------- #
-# DET001 — exactmath routing
+# DET001 — libm routing
 # --------------------------------------------------------------------------- #
 
 #: NumPy transcendentals whose SIMD kernels diverge from CPython's libm route
 #: in the last ulp, with the backend-seam replacement to suggest (the batch
 #: path modules take kernels from :func:`repro.backend.active_backend`; the
-#: ``exact`` backend routes them through :mod:`repro.utils.exactmath`).
+#: ``exact`` backend routes them through libm in :mod:`repro.backend.exact`).
 _DIVERGENT_UFUNCS = {
-    "numpy.exp": "active_backend().exp (repro.backend; exactmath.exp in exact mode)",
+    "numpy.exp": "active_backend().exp (repro.backend; libm exp in exact mode)",
     "numpy.hypot": "active_backend().hypot (repro.backend)",
     "numpy.arccos": "active_backend().acos (repro.backend)",
     "numpy.power": "active_backend().power (repro.backend)",
@@ -56,7 +56,7 @@ def _contains_complex_literal(node: ast.AST) -> bool:
 
 @register_rule("DET001")
 class BareTranscendentalRule(Rule):
-    """Bare NumPy transcendental / float-exponent ``**`` in exactmath scope.
+    """Bare NumPy transcendental / float-exponent ``**`` in libm-routed scope.
 
     ``np.exp`` with a complex-literal argument (the ``np.exp(-1j * phase)``
     steering/phase factors) is exempt: complex exp has a single shared kernel
@@ -68,7 +68,7 @@ class BareTranscendentalRule(Rule):
 
     summary = (
         "bare NumPy transcendental (np.exp/np.power/np.hypot/np.arccos/"
-        "np.arctan2) or non-integral-literal ** in an exactmath-scoped module"
+        "np.arctan2) or non-integral-literal ** in a libm-routed module"
     )
 
     def visit_Call(self, node: ast.Call) -> None:

@@ -1,4 +1,4 @@
-"""Multi-link monitoring: one packet stream fanned across several links.
+"""Multi-link monitoring and the shared scoring core.
 
 A deployment rarely watches a single TX-RX pair — the paper's evaluation alone
 spans five links.  :class:`MultiLinkMonitor` owns one
@@ -6,23 +6,23 @@ spans five links.  :class:`MultiLinkMonitor` owns one
 in lockstep (the links all hear the same ping schedule, so their windows
 complete on the same pushes) and scores every completed window in one batch.
 
-Windows belonging to :class:`~repro.core.detector.BaselineDetector` sessions
-with matching shapes are scored in a single vectorized NumPy pass — their
-mean-amplitude profiles are stacked into one ``(links, antennas, subcarriers)``
-array and reduced together — which is exactly equivalent to (and bit-identical
-with) scoring each link sequentially.  Other detectors fall back to per-link
-scoring inside the same batch step.
+Every batch scorer — the monitor, the fleet scheduler
+(:func:`score_windows_batch`) and the campaign (:func:`score_windows_shared`)
+— goes through one core that scores ``(detector, window)`` pairs.  It
+sanitises every distinct window of the view-sharing detectors in one
+:func:`~repro.csi.calibration.sanitize_traces` call, scores all baseline
+pairs across detectors in one stacked program
+(:func:`~repro.core.detector.baseline_scores`, bit-exact under every
+backend), and scores the other detectors' windows per detector.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro import obs
 from repro.backend import active_backend
-from repro.core.detector import BaselineDetector, shares_sanitized_view
+from repro.core.detector import BaselineDetector, baseline_scores, shares_sanitized_view
 from repro.csi.calibration import sanitize_trace, sanitize_traces
 from repro.csi.format import CSIFrame
 from repro.csi.trace import CSITrace
@@ -103,7 +103,10 @@ class MultiLinkMonitor:
 
         Frames are keyed by link name; links absent from *frames* simply do
         not advance this step (e.g. a lost ping on one link).  All windows
-        completing on this push are scored in one batch.
+        completing on this push are scored in one batch.  Every frame is
+        checked before any session advances, so a rejected frame (see
+        :meth:`~repro.api.session.StreamingSession.advance`) leaves every
+        link's session untouched.
         """
         unknown = set(frames) - set(self._sessions)
         if unknown:
@@ -111,6 +114,8 @@ class MultiLinkMonitor:
                 f"frames for unknown links {sorted(unknown)}; "
                 f"known links: {sorted(self._sessions)}"
             )
+        for name, frame in frames.items():
+            self._sessions[name]._check_frame(frame)
         ready: list[tuple[StreamingSession, CSITrace]] = []
         for name, session in self._sessions.items():
             if name not in frames:
@@ -167,86 +172,102 @@ class MultiLinkMonitor:
         return f"{type(self).__name__}(links={list(self._sessions)})"
 
 
+#: How the scoring core handles one detector's windows.
+_RAW, _PREPARED, _BASELINE = range(3)
+
+
+def _route(detector: Any) -> int:
+    """Raw ``score`` for detectors that may not share a sanitised view, the
+    cross-detector baseline stack for an unmodified baseline formula, the
+    detector's own prepared scoring otherwise."""
+    if not shares_sanitized_view(detector):
+        return _RAW
+    scorer = getattr(detector._score_prepared, "__func__", None)
+    return _BASELINE if scorer is BaselineDetector._score_prepared else _PREPARED
+
+
+def _score_pairs(pairs: Sequence[tuple[Any, CSITrace]]) -> list[float]:
+    """Score ``(detector, window)`` pairs; the one scoring core.
+
+    Each detector is routed once (:func:`_route`).  Every distinct window of
+    a view-sharing detector is sanitised in one
+    :func:`~repro.csi.calibration.sanitize_traces` call, in pair order: the
+    ``fast`` phase fit depends on batch order and composition, so callers
+    fix both through *pairs*.  All baseline pairs are scored in one
+    :func:`~repro.core.detector.baseline_scores` program, bit-exact under
+    every backend.  A detector holding several prepared windows under a
+    ``tolerance_parity`` backend runs its stacked ``score_prepared_windows``
+    with one scratch cache per window stack; otherwise it scores each window
+    through ``score_prepared``.  Under ``exact`` every score is bit-identical
+    to ``detector.score(window)``.
+    """
+    with obs.span("score.batch"):
+        groups: dict[int, tuple[Any, int, list[int]]] = {}
+        for position, (detector, _) in enumerate(pairs):
+            group = groups.get(id(detector))
+            if group is None:
+                group = groups[id(detector)] = (detector, _route(detector), [])
+            group[2].append(position)
+        distinct = {
+            id(window): window
+            for detector, window in pairs
+            if groups[id(detector)][1] != _RAW
+        }
+        prepared = dict(zip(distinct, sanitize_traces(list(distinct.values()))))
+
+        scores = [0.0] * len(pairs)
+        baseline = [
+            position
+            for _, route, positions in groups.values()
+            if route == _BASELINE
+            for position in positions
+        ]
+        batch = baseline_scores(
+            [pairs[position][0] for position in baseline],
+            [prepared[id(pairs[position][1])] for position in baseline],
+        )
+        for position, score in zip(baseline, batch):
+            scores[position] = score
+
+        stacked = getattr(active_backend(), "tolerance_parity", False)
+        caches: dict[tuple[int, ...], dict] = {}
+        for detector, route, positions in groups.values():
+            if route == _BASELINE:
+                continue
+            windows = [pairs[position][1] for position in positions]
+            if route == _RAW:
+                group_scores = [detector.score(window) for window in windows]
+            elif stacked and len(windows) > 1:
+                windows = [prepared[id(window)] for window in windows]
+                cache = caches.setdefault(tuple(map(id, windows)), {})
+                group_scores = detector.score_prepared_windows(windows, cache=cache)
+            else:
+                group_scores = [
+                    detector.score_prepared(prepared[id(window)]) for window in windows
+                ]
+            for position, score in zip(positions, group_scores):
+                scores[position] = float(score)
+    obs.count("score.windows", len(pairs))
+    return scores
+
+
 def score_windows_batch(
     ready: Sequence[tuple[StreamingSession, CSITrace]]
 ) -> list[DetectionEvent]:
-    """Score completed windows from several sessions; vectorize where possible.
+    """Score completed windows from several sessions in one batch.
 
-    The shared cross-link scoring step: :meth:`MultiLinkMonitor.push` and the
-    fleet scheduler (:mod:`repro.fleet.scheduler`) both hand their ready
-    ``(session, window)`` pairs here.  Windows owned by
-    :class:`~repro.core.detector.BaselineDetector` sessions with matching
-    shapes are reduced in one stacked NumPy pass (bit-identical to scoring
-    each window on its own — see :func:`_batch_baseline_scores`); everything
-    else falls back to per-window ``detector.score``.  Events are emitted
-    through :meth:`~repro.api.session.StreamingSession.emit` in *ready*
-    order.
+    The cross-link scoring step of :meth:`MultiLinkMonitor.push` and the
+    fleet scheduler (:mod:`repro.fleet.scheduler`): the ready
+    ``(session, window)`` pairs go through the shared core
+    (:func:`_score_pairs`) and the events are emitted through
+    :meth:`~repro.api.session.StreamingSession.emit` in *ready* order.
     """
     if not ready:
         return []
-    with obs.span("score.batch"):
-        scores: dict[int, float] = {}
-        batchable = [
-            (position, session, window)
-            for position, (session, window) in enumerate(ready)
-            if type(session.detector) is BaselineDetector
-        ]
-        if len(batchable) >= 2:
-            shapes = {window.csi.shape for _, _, window in batchable}
-            profile_shapes = {
-                session.detector._profile_amplitude.shape for _, session, _ in batchable
-            }
-            if len(shapes) == 1 and len(profile_shapes) == 1:
-                for (position, _, _), score in zip(
-                    batchable, _batch_baseline_scores(batchable)
-                ):
-                    scores[position] = float(score)
-        events = []
-        for position, (session, window) in enumerate(ready):
-            score = scores.get(position)
-            if score is None:
-                score = float(session.detector.score(window))
-            events.append(session.emit(window, score))
-    obs.count("score.windows", len(ready))
-    return events
-
-
-def _batch_baseline_scores(
-    batch: Iterable[tuple[int, StreamingSession, CSITrace]]
-) -> np.ndarray:
-    """Score several baseline-detector windows in one vectorized pass.
-
-    Replicates :meth:`BaselineDetector.score` on stacked arrays: per-window
-    mean amplitudes and per-link calibration profiles become one
-    ``(links, antennas, subcarriers)`` array, and the Euclidean distance and
-    antenna average reduce along the trailing axes — elementwise identical to
-    the per-link computation, so the scores are bit-identical.
-
-    Windows requiring phase sanitisation are cleaned by
-    :func:`~repro.csi.calibration.sanitize_traces`: one batched
-    :func:`~repro.csi.calibration.sanitize_csi_array` call per subcarrier
-    grid (the per-frame fits are independent, so stacking windows changes
-    nothing bit-wise), so windows spanning several grids still batch per
-    group instead of dropping to a scalar per-window loop.
-    """
-    batch = list(batch)
-    windows = [window for _, _, window in batch]
-    sanitized_positions = [
-        i for i, (_, session, _) in enumerate(batch) if session.detector.sanitize
+    scores = _score_pairs([(session.detector, window) for session, window in ready])
+    return [
+        session.emit(window, score) for (session, window), score in zip(ready, scores)
     ]
-    means: list[np.ndarray | None] = [None] * len(batch)
-    if sanitized_positions:
-        cleaned = sanitize_traces([windows[i] for i in sanitized_positions])
-        for clean, i in zip(cleaned, sanitized_positions):
-            means[i] = clean.mean_amplitude()
-    for i, window in enumerate(windows):
-        if means[i] is None:
-            means[i] = window.mean_amplitude()
-    profiles = [session.detector._profile_amplitude for _, session, _ in batch]
-    stacked_means = np.stack(means)
-    stacked_profiles = np.stack(profiles)
-    distances = np.linalg.norm(stacked_means - stacked_profiles, axis=2)
-    return distances.mean(axis=1)
 
 
 def calibrate_shared(detectors: Mapping[str, object], baseline: CSITrace) -> None:
@@ -259,14 +280,15 @@ def calibrate_shared(detectors: Mapping[str, object], baseline: CSITrace) -> Non
     detector ends up in the state its standalone ``calibrate`` would have
     produced, bit for bit.
     """
-    prepared: CSITrace | None = None
-    for detector in detectors.values():
-        if shares_sanitized_view(detector):
-            if prepared is None:
-                prepared = sanitize_trace(baseline)
-            detector.calibrate_prepared(prepared)  # type: ignore[attr-defined]
-        else:
-            detector.calibrate(baseline)  # type: ignore[attr-defined]
+    with obs.span("score.calibrate"):
+        prepared: CSITrace | None = None
+        for detector in detectors.values():
+            if shares_sanitized_view(detector):
+                if prepared is None:
+                    prepared = sanitize_trace(baseline)
+                detector.calibrate_prepared(prepared)  # type: ignore[attr-defined]
+            else:
+                detector.calibrate(baseline)  # type: ignore[attr-defined]
 
 
 def score_windows_shared(
@@ -274,51 +296,17 @@ def score_windows_shared(
 ) -> dict[str, list[float]]:
     """Score every window under every detector, sanitising each window once.
 
-    The windows are cleaned in one grouped
-    :func:`~repro.csi.calibration.sanitize_traces` pass and the sanitised
-    views handed to every detector that can share them (via
-    ``score_prepared``); detectors with custom plumbing score the raw
-    windows through their own ``score``.  Scores are bit-identical to
-    calling ``detector.score(window)`` for every (detector, window) pair —
-    the historical per-scheme path — because the per-frame phase fits are
-    independent of the batch they run in.
-
-    Under a backend that advertises ``tolerance_parity`` (the ``fast`` mode
-    of :mod:`repro.backend`) the prepared windows are scored through each
-    detector's stacked :meth:`~repro.core.detector._BaseDetector.
-    score_prepared_windows` program instead of the per-window loop; that
-    path is tolerance-parity (bounded score deltas, identical operating
-    points), which is exactly the guarantee fast mode trades byte equality
-    for.  The default ``exact`` backend keeps the bit-identical loop.
-
-    Returns a mapping from detector name to the per-window score list, in
-    *windows* order.
+    The campaign's scoring step: the pairs go through the shared core
+    (:func:`_score_pairs`) detector by detector, so the windows are
+    sanitised in *windows* order.  Returns a mapping from detector name to
+    the per-window score list, in *windows* order.
     """
     windows = list(windows)
-    shared_names = {
-        name for name, detector in detectors.items() if shares_sanitized_view(detector)
+    scores = _score_pairs(
+        [(detector, window) for detector in detectors.values() for window in windows]
+    )
+    count = len(windows)
+    return {
+        name: scores[index * count : (index + 1) * count]
+        for index, name in enumerate(detectors)
     }
-    prepared = sanitize_traces(windows) if shared_names and windows else []
-    batch_scoring = getattr(active_backend(), "tolerance_parity", False)
-    batch_cache: dict = {}
-    scores: dict[str, list[float]] = {}
-    for name, detector in detectors.items():
-        if name in shared_names:
-            if batch_scoring:
-                scores[name] = [
-                    float(score)
-                    for score in detector.score_prepared_windows(  # type: ignore[attr-defined]
-                        prepared, cache=batch_cache
-                    )
-                ]
-                continue
-            scores[name] = [
-                float(detector.score_prepared(window))  # type: ignore[attr-defined]
-                for window in prepared
-            ]
-        else:
-            scores[name] = [
-                float(detector.score(window))  # type: ignore[attr-defined]
-                for window in windows
-            ]
-    return scores

@@ -277,6 +277,11 @@ class StreamingSession:
         hand the score back through :meth:`emit`.  :meth:`push` is exactly
         ``advance`` + ``pending_window`` + ``score`` + ``emit``, so deferred
         scoring is bit-identical to the inline path.
+
+        A frame whose CSI shape differs from the buffered frames raises
+        ``ValueError`` before it is buffered, leaving the session exactly as
+        it was; :meth:`reset` clears the buffer for a deliberate change of
+        shape.
         """
         window = self._advance(frame)
         if window is None:
@@ -298,12 +303,26 @@ class StreamingSession:
         self._awaiting_emit.append((window, packets_seen))
         return window
 
-    def _advance(self, frame: CSIFrame) -> CSITrace | None:
-        """Buffer one frame; return the completed window trace, if any."""
-        if not self.is_calibrated:
+    def _check_frame(self, frame: CSIFrame) -> None:
+        """Raise if *frame* may not be buffered; never changes any state.
+
+        Calibration is checked while the buffer is empty: no frame is
+        buffered before it, and a detector never loses its calibration.
+        """
+        if not self._buffer and not self.is_calibrated:
             raise RuntimeError("StreamingSession must be calibrated before pushing frames")
         if not isinstance(frame, CSIFrame):
             raise TypeError(f"push expects a CSIFrame, got {type(frame).__name__}")
+        if self._buffer and frame.csi.shape != self._buffer[0].csi.shape:
+            raise ValueError(
+                f"frame CSI shape {frame.csi.shape} differs from the buffered "
+                f"frames' {self._buffer[0].csi.shape}; reset() the session to "
+                "change shape"
+            )
+
+    def _advance(self, frame: CSIFrame) -> CSITrace | None:
+        """Buffer one frame; return the completed window trace, if any."""
+        self._check_frame(frame)
         self._buffer.append(frame)
         self._packets_seen += 1
         if self._packets_seen < self.window_packets:

@@ -1,9 +1,8 @@
 """Pluggable numeric backends (`exact` bit-parity vs `fast` SIMD).
 
-The batch-path modules take their divergent kernels — the exactmath
-transcendental surface, the channel IFFT and the batched linear-phase fit —
-from the *active backend* instead of importing :mod:`repro.utils.exactmath`
-directly::
+The batch-path modules take their divergent kernels — the libm-routed
+transcendentals, the channel IFFT and the batched linear-phase fit — from
+the *active backend*::
 
     from repro.backend import active_backend
 

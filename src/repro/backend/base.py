@@ -1,7 +1,7 @@
 """The numeric backend protocol.
 
 Every transcendental whose NumPy SIMD kernel diverges from CPython's libm
-route in the last ulp (see :mod:`repro.utils.exactmath`), plus the batched
+route in the last ulp (see :mod:`repro.backend.exact`), plus the batched
 linear-phase least-squares fit and the channel IFFT, reaches the batch-path
 modules through a :class:`NumericBackend`.  Two implementations ship:
 
@@ -59,7 +59,7 @@ class NumericBackend(Protocol):
         """Dtype for complex kernel results (``complex128`` in exact mode)."""
         ...
 
-    # -- elementwise transcendentals (the exactmath surface) ------------- #
+    # -- elementwise transcendentals (the libm-routed surface) ----------- #
     def exp(self, x: np.ndarray) -> np.ndarray:
         """Elementwise ``exp``."""
         ...

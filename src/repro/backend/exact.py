@@ -1,20 +1,29 @@
 """The bit-parity backend: every kernel takes the scalar libm route.
 
 This is the default backend and the one the campaign sha256 pins are taken
-against.  The elementwise transcendentals delegate to
-:mod:`repro.utils.exactmath` (``np.frompyfunc`` over :mod:`math`, i.e. the
-same libm calls the scalar reference code makes), the IFFT is NumPy's own
-(the scalar and batch paths share pocketfft, so there is nothing to pin
-around), and the batched linear-phase fit replicates ``np.polyfit(deg=1)``
-bit-for-bit through NumPy's private ``lstsq`` gufunc with a per-row
-``np.polyfit`` fallback.
+against.  NumPy's own ``np.exp`` / ``np.hypot`` / ``np.arccos`` / ``**`` use
+SIMD kernels (or ``x*x`` strength reduction for squares) that differ from
+CPython's libm-backed :mod:`math` functions in the last ulp, so replacing a
+``math.exp`` loop with ``np.exp`` would silently change every downstream
+float.  The elementwise transcendentals here therefore go through
+:func:`numpy.frompyfunc` over :mod:`math` — the *same* libm calls the scalar
+reference code makes, applied elementwise.  All surrounding arithmetic
+(``+ - * /``, ``min``/``max``/``clip``) is correctly rounded per IEEE-754 and
+identical between NumPy and Python scalars; only these kernels need the exact
+route.  The cost is a Python-level call per element, which is fine for the
+small arrays they appear in (person-to-segment offsets, per-scene angles).
 
-DET001 (the determinism lint's exactmath-routing rule) is scoped to this
-module: a bare NumPy transcendental here would silently break the sha256
-pins, so the lint keeps the libm routing honest.  The private-API rule
-DET006 is excluded for this module in ``pyproject.toml`` — the gufunc import
-below is the one sanctioned private-NumPy site in the tree, guarded by a
-try/except and the ``REPRO_FORCE_POLYFIT_FALLBACK`` escape hatch.
+The IFFT is NumPy's own (the scalar and batch paths share pocketfft, so there
+is nothing to pin around), and the batched linear-phase fit replicates
+``np.polyfit(deg=1)`` bit-for-bit through NumPy's private ``lstsq`` gufunc
+with a per-row ``np.polyfit`` fallback.
+
+DET001 (the determinism lint's libm-routing rule) is scoped to this module:
+a bare NumPy transcendental here would silently break the sha256 pins, so the
+lint keeps the libm routing honest.  The private-API rule DET006 is excluded
+for this module in ``pyproject.toml`` — the gufunc import below is the one
+sanctioned private-NumPy site in the tree, guarded by a try/except and the
+``REPRO_FORCE_POLYFIT_FALLBACK`` escape hatch.
 """
 
 from __future__ import annotations
@@ -25,7 +34,17 @@ import os
 import numpy as np
 
 from repro.backend.registry import register_backend
-from repro.utils import exactmath
+
+_EXP = np.frompyfunc(math.exp, 1, 1)
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
+_SIN = np.frompyfunc(math.sin, 1, 1)
+_ACOS = np.frompyfunc(math.acos, 1, 1)
+#: Python ``x ** p``: ``float.__pow__`` calls libm ``pow`` whereas
+#: ``np.ndarray.__pow__`` strength-reduces small integral exponents to
+#: repeated multiplication; the two differ in the last ulp for some inputs.
+#: The first form takes one Python-float exponent for every element.
+_POW = np.frompyfunc(lambda x, p: float(x) ** p, 2, 1)
+_POW_ELEMENTWISE = np.frompyfunc(lambda x, p: float(x) ** float(p), 2, 1)
 
 #: Elementwise ``math.exp(-(r ** 2))`` — the Gaussian core of the human
 #: shadowing profile, fused into one exact pass so the batched attenuation
@@ -76,22 +95,23 @@ class ExactBackend:
 
     # -- elementwise transcendentals ------------------------------------- #
     def exp(self, x: np.ndarray) -> np.ndarray:
-        return exactmath.exp(x)
+        return _EXP(np.asarray(x, dtype=float)).astype(float)
 
     def hypot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return exactmath.hypot(x, y)
+        return _HYPOT(np.asarray(x, dtype=float), np.asarray(y, dtype=float)).astype(float)
 
     def sin(self, x: np.ndarray) -> np.ndarray:
-        return exactmath.sin(x)
+        return _SIN(np.asarray(x, dtype=float)).astype(float)
 
     def acos(self, x: np.ndarray) -> np.ndarray:
-        return exactmath.acos(x)
+        return _ACOS(np.asarray(x, dtype=float)).astype(float)
 
     def power(self, x: np.ndarray, exponent: float) -> np.ndarray:
-        return exactmath.power(x, exponent)
+        return _POW(np.asarray(x, dtype=float), float(exponent)).astype(float)
 
     def power_elementwise(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return exactmath.power_elementwise(x, p)
+        x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+        return _POW_ELEMENTWISE(x, p).astype(float)
 
     def gauss(self, x: np.ndarray) -> np.ndarray:
         return _GAUSS_PROFILE(np.asarray(x, dtype=float)).astype(float)

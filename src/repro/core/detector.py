@@ -238,18 +238,20 @@ class _BaseDetector:
         """Scores of several prepared windows at once.
 
         The base implementation is the plain per-window loop (bit-identical
-        to :meth:`score_prepared` per window).  Schemes override it with a
-        stacked array program over same-shape windows; those overrides are
-        tolerance-parity (not bitwise) with the loop because stacked
-        reductions reorder floating-point sums, so the batch-scoring layer
-        only routes through them when the active backend advertises
-        ``tolerance_parity`` (the ``fast`` backend — see
+        to :meth:`score_prepared` per window).  The subcarrier and combined
+        schemes override it with a stacked array program over same-shape
+        windows that is tolerance-parity (not bitwise) with the loop,
+        because stacked reductions reorder floating-point sums, so the
+        batch-scoring layer only routes through them when the active backend
+        advertises ``tolerance_parity`` (the ``fast`` backend — see
         :mod:`repro.backend`).
 
         *cache* is an optional scratch dict a caller scoring the same
         windows under several detectors may share between them; overrides
         use it to reuse window-only intermediates (the stacked subcarrier
-        weights) across schemes.
+        weights) across schemes.  One dict serves one window stack: a cache
+        shared by calls over different windows would hand one stack's
+        weights to another.
         """
         return [float(self.score_prepared(window)) for window in windows]
 
@@ -285,13 +287,11 @@ def shares_sanitized_view(detector: object) -> bool:
     if not isinstance(detector, _BaseDetector) or not detector.sanitize:
         return False
     instance_attrs = getattr(detector, "__dict__", {})
-    if any(hook in instance_attrs for hook in _SHARED_VIEW_HOOKS):
-        return False
     cls = type(detector)
-    return all(
-        getattr(cls, hook) is getattr(_BaseDetector, hook)
-        for hook in _SHARED_VIEW_HOOKS
-    )
+    for hook in _SHARED_VIEW_HOOKS:
+        if hook in instance_attrs or getattr(cls, hook) is not getattr(_BaseDetector, hook):
+            return False
+    return True
 
 
 def _stacked_window_csi(windows: Sequence[CSITrace]) -> np.ndarray | None:
@@ -316,8 +316,9 @@ def _shared_stacked_weights(
     The subcarrier and combined schemes compute identical weights for the
     same window stack whenever their weighting parameters agree; a caller
     scoring both hands in one scratch dict so the second scheme reuses the
-    first's result.  Weightings with a custom frequency grid are not cached
-    (the grid would need hashing)."""
+    first's result.  The key holds only the weighting parameters, so *cache*
+    must belong to this one window stack.  Weightings with a custom
+    frequency grid are not cached (the grid would need hashing)."""
     if cache is None or weighting.frequencies is not None:
         return weighting.stacked_weights(stacked)
     key = ("stacked_weights", weighting.use_stability_ratio)
@@ -328,32 +329,60 @@ def _shared_stacked_weights(
     return weights
 
 
+def _baseline_distance(mean_amplitude: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """The baseline scheme's one distance formula: Euclidean distance over
+    subcarriers, mean over antennas; any leading axes index windows and are
+    reduced row by row, so stacking windows never changes a score's bits."""
+    return np.linalg.norm(mean_amplitude - profile, axis=-1).mean(axis=-1)
+
+
+def baseline_scores(
+    detectors: Sequence["BaselineDetector"], windows: Sequence[CSITrace]
+) -> list[float]:
+    """Baseline scores of prepared windows, window ``i`` under ``detectors[i]``.
+
+    Each window's mean amplitude and its detector's calibration profile are
+    stacked into ``(windows, antennas, subcarriers)`` arrays and reduced in
+    one :func:`_baseline_distance` call, bit-identical to scoring every
+    window on its own however many windows and detectors share the stack.
+    Pairs of mixed shapes are scored one by one.
+    """
+    if not windows:
+        return []
+    for detector in detectors:
+        detector._require_calibration()
+    if any(window.num_packets < 1 for window in windows):
+        raise ValueError("monitoring window must contain at least one packet")
+    profiles = [detector._profile_amplitude for detector in detectors]
+    means = [window.mean_amplitude() for window in windows]
+    if len({array.shape for array in (*means, *profiles)}) > 1:
+        scores = [_baseline_distance(mean, p) for mean, p in zip(means, profiles)]
+    else:
+        scores = _baseline_distance(np.stack(means), np.stack(profiles))
+    return [float(score) for score in scores]
+
+
 class BaselineDetector(_BaseDetector):
     """Euclidean distance of CSI amplitudes (the paper's baseline scheme).
 
     The score is the Euclidean distance between the mean CSI amplitude of the
-    monitoring window and the calibration profile, averaged over antennas.
+    monitoring window and the calibration profile, averaged over antennas
+    (see :func:`_baseline_distance`).
     """
 
     def _score_prepared(self, window: CSITrace) -> float:
-        mean_amplitude = window.mean_amplitude()
-        assert self._profile_amplitude is not None
-        distances = np.linalg.norm(mean_amplitude - self._profile_amplitude, axis=1)
-        return float(distances.mean())
+        return float(_baseline_distance(window.mean_amplitude(), self._profile_amplitude))
 
     def score_prepared_windows(
         self, windows: Sequence[CSITrace], *, cache: dict | None = None
     ) -> list[float]:
-        self._require_calibration()
-        stacked = _stacked_window_csi(windows)
-        if stacked is None:
-            return super().score_prepared_windows(windows)
-        assert self._profile_amplitude is not None
-        mean_amplitudes = np.abs(stacked).mean(axis=1)
-        distances = np.linalg.norm(
-            mean_amplitudes - self._profile_amplitude[None], axis=2
-        )
-        return [float(score) for score in distances.mean(axis=1)]
+        """Scores of several prepared windows in one stacked program.
+
+        Unlike the other schemes' stacked overrides this one is bit-exact
+        with :meth:`score_prepared` per window: :func:`baseline_scores`
+        reduces every row on its own.
+        """
+        return baseline_scores([self] * len(windows), windows)
 
 
 class SubcarrierWeightingDetector(_BaseDetector):

@@ -13,11 +13,13 @@ the scheduler's batch-flush policy — as a JSON-round-trippable dataclass.
   its own scheduler, and the merged event stream is byte-identical to the
   single-process run for any worker count.
 
-The merge works because event *content* is session-local (scores are
-bit-identical however windows are batched — see
-:func:`repro.api.monitor.score_windows_batch`) and the report orders events
-canonically by ``(timestamp, link, index)``.  Throughput and latency numbers
-are measurements, not part of the deterministic stream.
+The merge works because event *content* is session-local and the report
+orders events canonically by ``(timestamp, link, index)``.  Under the
+``exact`` backend scores are byte-identical however windows are batched (see
+:func:`repro.api.monitor.score_windows_batch`); under ``fast`` the batched
+phase fit depends on the flush's composition, so scores hold tolerance
+parity with per-window scoring instead.  Throughput and latency numbers are
+measurements, not part of the deterministic stream.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from repro.api import (
 )
 from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
 from repro.core.detector import BaselineDetector, DetectionResult
-from repro.csi import CSITrace, PacketCollector
+from repro.csi import CSIFrame, CSITrace, PacketCollector
 from repro.experiments.scenarios import evaluation_cases
 from repro.utils.rng import ensure_rng
 
@@ -424,6 +424,39 @@ class TestStreamingSession:
         session.reset()
         assert session.pending_window() is None
 
+    def test_shape_changed_frame_rejected_without_state_change(
+        self, link, collector, calibration
+    ):
+        session = self._session(link, calibration, window_packets=4, window_stride=1)
+        reference = self._session(link, calibration, window_packets=4, window_stride=1)
+        trace = collector.collect(HumanBody(position=Point(4.0, 3.2)), num_packets=10)
+        frames = list(trace)
+        bad = CSIFrame(
+            csi=frames[0].csi[:1],
+            timestamp=frames[0].timestamp,
+            subcarrier_indices=frames[0].subcarrier_indices,
+        )
+        events = session.push_many(frames[:5])
+        seen = session.packets_seen
+        with pytest.raises(ValueError, match="differs from the buffered"):
+            session.push(bad)
+        assert session.packets_seen == seen
+        assert session.pending_window() is None
+        events += session.push_many(frames[5:])
+        expected = reference.push_many(frames)
+        assert len(expected) == 7
+        assert events == expected
+        assert session.packets_seen == reference.packets_seen
+
+    def test_reset_accepts_a_new_shape(self, link, collector, calibration):
+        session = self._session(link, calibration)
+        session.push_many(collector.collect_empty(num_packets=3))
+        session.reset()
+        frame = next(iter(collector.collect_empty(num_packets=1)))
+        assert not session.advance(
+            CSIFrame(csi=frame.csi[:1], subcarrier_indices=frame.subcarrier_indices)
+        )
+
     def test_invalid_session_parameters(self, link):
         detector = BaselineDetector()
         with pytest.raises(ValueError):
@@ -533,6 +566,43 @@ class TestMultiLinkMonitor:
             expected = session.push_trace(windows[link.name])
             got = [e for e in events if e.link == link.name]
             assert [e.score for e in got] == [e.score for e in expected]
+
+    def test_shape_changed_frame_advances_no_link(self, multi_links):
+        """A bad frame on one link is rejected before any session advances."""
+        config = PipelineConfig(
+            detector="baseline", window_packets=4, window_stride=1, calibration_packets=24
+        )
+        calibrations, windows = _per_link_data(multi_links)
+        monitor = MultiLinkMonitor.from_config(config, multi_links)
+        monitor.calibrate(calibrations)
+        reference = MultiLinkMonitor.from_config(config, multi_links)
+        reference.calibrate(calibrations)
+        steps = [
+            {name: trace.frame(i) for name, trace in windows.items()}
+            for i in range(12)
+        ]
+        # The bad frame belongs to the last link: the earlier links' frames
+        # in the same step must not have been buffered either.
+        last = multi_links[-1].name
+        good = steps[5][last]
+        bad_step = dict(steps[5])
+        bad_step[last] = CSIFrame(
+            csi=good.csi[:1],
+            timestamp=good.timestamp,
+            subcarrier_indices=good.subcarrier_indices,
+        )
+        events = []
+        for step in steps[:5]:
+            events += monitor.push(step)
+        seen = {name: s.packets_seen for name, s in monitor.sessions.items()}
+        with pytest.raises(ValueError, match="differs from the buffered"):
+            monitor.push(bad_step)
+        assert {name: s.packets_seen for name, s in monitor.sessions.items()} == seen
+        for step in steps[5:]:
+            events += monitor.push(step)
+        expected = [event for step in steps for event in reference.push(step)]
+        assert len(expected) == 27
+        assert events == expected
 
     def test_missing_calibration_rejected(self, multi_links):
         config = PipelineConfig(detector="baseline", window_packets=6)

@@ -15,7 +15,13 @@ import pytest
 
 from repro import obs
 from repro.api.config import PipelineConfig
-from repro.api.monitor import MultiLinkMonitor, calibrate_shared, score_windows_shared
+from repro.api.monitor import (
+    MultiLinkMonitor,
+    calibrate_shared,
+    score_windows_batch,
+    score_windows_shared,
+)
+from repro.api.session import StreamingSession
 from repro.channel.channel import ChannelSimulator
 from repro.channel.human import HumanBody
 from repro.channel.noise import ImpairmentModel
@@ -269,21 +275,53 @@ class TestSharedScoring:
         assert scores["shared"] == [float(reference.score(w)) for w in windows]
 
 
+    def test_flush_mixing_non_shareable_detector(self, links):
+        """One flush of several sessions: the opt-out sees the raw window."""
+        link = links[2]
+        calibration, windows = self._data(link, seed=85)
+
+        class RawMean(BaselineDetector):
+            def score(self, window):
+                self.saw = window
+                return float(np.abs(window.csi).mean())
+
+        detectors = [
+            BaselineDetector(),
+            RawMean(sanitize=False),
+            BaselineDetector(),
+            SubcarrierWeightingDetector(),
+        ]
+        ready = []
+        for detector, window in zip(detectors, windows):
+            session = StreamingSession(
+                detector, window_packets=10, threshold=1.0, threshold_policy="fixed"
+            )
+            session.calibrate(calibration)
+            for frame in window:
+                session.advance(frame)
+            ready.append((session, session.pending_window()))
+        events = score_windows_batch(ready)
+        assert detectors[1].saw is ready[1][1]
+        for (session, window), event in zip(ready, events):
+            assert event.score == float(session.detector.score(window))
+
+
 # --------------------------------------------------------------------------- #
 # two-grid regression for the stacked baseline batch
 # --------------------------------------------------------------------------- #
 class TestMixedGridBatchScoring:
-    def test_two_grid_batch_matches_sequential(self, links):
+    @pytest.mark.parametrize("scheme", ["baseline", "subcarrier", "combined"])
+    def test_two_grid_batch_matches_sequential(self, links, scheme):
         """Links on different frequency grids batch per group, same scores.
 
         Regression for the mixed-grid fallback: the batch scorer used to
         drop to a per-window scalar loop whenever the sanitised windows
         spanned more than one subcarrier grid; it now groups by grid and
         batches each group.  Scores must stay identical to per-link
-        sequential scoring either way.
+        sequential scoring either way, for every scheme.
         """
         config = PipelineConfig(
-            detector="baseline", window_packets=6, calibration_packets=24
+            detector=scheme, window_packets=6, calibration_packets=24
         )
         pair = links[:2]
         calibrations = {}

@@ -472,7 +472,8 @@ class TestOnOffParity:
         cases = evaluation_cases()[:2]
         baseline = scores_sha256(run_evaluation(config, cases=cases))
         with obs.recording() as recorder:
-            instrumented = scores_sha256(run_evaluation(config, cases=cases))
+            result = run_evaluation(config, cases=cases)
+        instrumented = scores_sha256(result)
         assert instrumented == baseline
         # The run actually recorded something — this was not a no-op pass.
         snapshot = recorder.snapshot()
@@ -482,6 +483,11 @@ class TestOnOffParity:
         # whole-case synthesis batch per case.
         assert snapshot.metrics.histograms["collect.plan"].count == len(cases)
         assert snapshot.metrics.histograms["collect.batch_synthesize"].count == len(cases)
+        # Scoring is attributed too: one shared calibration and one scoring
+        # core call per case, every (scheme, window) decision counted.
+        assert snapshot.metrics.histograms["score.calibrate"].count == len(cases)
+        assert snapshot.metrics.histograms["score.batch"].count == len(cases)
+        assert snapshot.metrics.counters["score.windows"] == len(result.windows)
 
     def test_fleet_event_digest_identical_with_obs_enabled(self):
         from repro.api import PipelineConfig
@@ -499,7 +505,8 @@ class TestOnOffParity:
         )
         baseline = run_fleet(config).event_digest()
         with obs.recording() as inline:
-            enabled_1 = run_fleet(config).event_digest()
+            report = run_fleet(config)
+        enabled_1 = report.event_digest()
         with obs.recording() as recorder:
             enabled_2 = run_fleet(config, max_workers=2).event_digest()
         assert enabled_1 == baseline
@@ -507,6 +514,12 @@ class TestOnOffParity:
         assert inline_histograms["fleet.calibrate"].count == config.links
         assert inline_histograms["collect.plan"].count == config.links
         assert inline_histograms["collect.batch_synthesize"].count == 1
+        # Every scored window goes through the scoring core, one span per
+        # flush of at most batch_windows windows.
+        inline_counters = inline.snapshot().metrics.counters
+        assert inline_counters["score.windows"] == report.windows_scored
+        flushes = inline_histograms["score.batch"].count
+        assert report.windows_scored <= flushes * config.batch_windows
         # Sharded workers return snapshots; the merged metrics cover both
         # shards and the event stream still matches byte for byte.
         assert enabled_2 == baseline
@@ -518,6 +531,7 @@ class TestOnOffParity:
         assert snapshot.metrics.histograms["collect.plan"].count == config.links
         # Every link's session calibration is attributed, once per link.
         assert snapshot.metrics.histograms["fleet.calibrate"].count == config.links
+        assert snapshot.metrics.counters["score.windows"] == report.windows_scored
 
     def test_sweep_store_bytes_identical_with_obs_enabled(self, tmp_path):
         from repro.experiments.runner import EvaluationConfig
