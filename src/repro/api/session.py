@@ -20,6 +20,7 @@ streamed score is bit-identical to scoring the equivalent batch trace.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -57,7 +58,8 @@ class DetectionEvent:
         Decision threshold in force, or ``None`` when the session has no
         threshold yet.
     detected:
-        ``score > threshold``, or ``None`` when no threshold is in force.
+        ``score > threshold``, or ``None`` when no threshold is in force or
+        the score is not finite.
     window_packets:
         Number of packets in the scored window.
     packets_seen:
@@ -270,13 +272,13 @@ class StreamingSession:
     def advance(self, frame: CSIFrame) -> bool:
         """Consume one frame *without* scoring; True when a window completed.
 
-        External schedulers (:class:`~repro.api.monitor.MultiLinkMonitor`,
-        the fleet scheduler) use this hook to collect ready windows from many
-        sessions and score them together in one vectorized batch.  The
-        completed window is queued; pop it with :meth:`pending_window` and
-        hand the score back through :meth:`emit`.  :meth:`push` is exactly
-        ``advance`` + ``pending_window`` + ``score`` + ``emit``, so deferred
-        scoring is bit-identical to the inline path.
+        External schedulers (:class:`~repro.api.monitor.MultiLinkMonitor`)
+        use this hook to collect ready windows from many sessions and score
+        them together in one vectorized batch.  The completed window is
+        queued through :meth:`queue_window`; pop it with
+        :meth:`pending_window` and hand the score back through :meth:`emit`.
+        :meth:`push` is exactly ``advance`` + ``pending_window`` + ``score``
+        + ``emit``, so deferred scoring is bit-identical to the inline path.
 
         A frame whose CSI shape differs from the buffered frames raises
         ``ValueError`` before it is buffered, leaving the session exactly as
@@ -286,13 +288,34 @@ class StreamingSession:
         window = self._advance(frame)
         if window is None:
             return False
-        self._pending.append((window, self._packets_seen))
+        self.queue_window(window, self._packets_seen)
         return True
+
+    def queue_window(self, window: CSITrace, packets_seen: int) -> None:
+        """Queue a completed window for deferred scoring.
+
+        The one queueing path of the session: :meth:`advance` ends here with
+        the window it assembled from its buffer, and a scheduler that
+        assembles windows itself (the fleet scheduler gathers them straight
+        from a link's pooled CSI) hands them in directly.  *packets_seen* is
+        the session's packet count at the window's completion; it becomes
+        the session's count and is stamped on the window's event by
+        :meth:`emit`.  Windows handed in directly bypass the frame buffer,
+        so a later :meth:`push` does not continue them: windows resume once
+        ``window_packets`` new frames are buffered, on the same stride grid.
+        """
+        if packets_seen < self._packets_seen:
+            raise ValueError(
+                f"packets_seen {packets_seen} is below the session's "
+                f"{self._packets_seen}; windows must be queued in completion order"
+            )
+        self._packets_seen = packets_seen
+        self._pending.append((window, packets_seen))
 
     def pending_window(self) -> CSITrace | None:
         """Pop the oldest completed-but-unscored window, or ``None``.
 
-        Windows are queued by :meth:`advance` in completion order; a caller
+        Windows are queued by :meth:`queue_window` in completion order; a caller
         mixing :meth:`push` with an external scheduler should drain pending
         windows before pushing again (``push`` scores the oldest pending
         window, which is then necessarily its own).
@@ -325,7 +348,9 @@ class StreamingSession:
         self._check_frame(frame)
         self._buffer.append(frame)
         self._packets_seen += 1
-        if self._packets_seen < self.window_packets:
+        # A full buffer, not the packet count: windows queued through
+        # queue_window advance the count without buffering frames.
+        if len(self._buffer) < self.window_packets:
             return None
         if (self._packets_seen - self.window_packets) % self.window_stride != 0:
             return None
@@ -339,6 +364,9 @@ class StreamingSession:
         scheduled, batch-scored event is bit-identical to the one
         :meth:`push` would have emitted inline, even if the session consumed
         more frames between completion and deferred scoring.
+
+        A non-finite score carries no decision: its event has
+        ``detected=None`` whatever the threshold.
         """
         packets_seen = self._packets_seen
         for position, (awaiting, completion_count) in enumerate(self._awaiting_emit):
@@ -346,7 +374,10 @@ class StreamingSession:
                 del self._awaiting_emit[position]
                 packets_seen = completion_count
                 break
-        detected = None if self.threshold is None else bool(score > self.threshold)
+        if self.threshold is None or not math.isfinite(score):
+            detected = None
+        else:
+            detected = bool(score > self.threshold)
         event = DetectionEvent(
             link=self.link_name,
             index=self._event_count,

@@ -480,10 +480,11 @@ def run_case(
         # Calibration (traces[0]): empty monitored area, no drift gain — drift
         # accumulates *after* calibration.  Gains scale the raw traces before
         # sanitisation, exactly as the historical path applied them.
-        monitoring = [
-            trace if planned.gain is None else drift.apply_to_trace(trace, planned.gain)
-            for trace, planned in zip(traces[1:], plan.monitoring)
-        ]
+        with obs.span("collect.drift"):
+            monitoring = [
+                trace if planned.gain is None else drift.apply_to_trace(trace, planned.gain)
+                for trace, planned in zip(traces[1:], plan.monitoring)
+            ]
         detectors = build_detectors(link, config)
         calibrate_shared(detectors, traces[0])
         scores = score_windows_shared(detectors, monitoring)

@@ -9,11 +9,12 @@ supplies that layer on top of :mod:`repro.api`:
   link's streams derive from the fleet seed and its index alone, so any
   subset rebuilds byte-identically on any worker.
 * :mod:`repro.fleet.scheduler` — a heap-based, event-ordered scheduler that
-  merges the per-link arrival streams, advances each link's
-  :class:`~repro.api.session.StreamingSession` through the non-scoring
-  ``advance`` hook and flushes ready windows *across links* through the
-  shared vectorized batch scorer.  Events are bit-identical to sequential
-  per-link ``push`` for any batch size.
+  advances each link's :class:`~repro.api.session.StreamingSession` one
+  completed window at a time (windows gathered straight from the link's
+  pooled CSI, in the global order of their last packets' arrivals) and
+  flushes ready windows *across links* through the shared vectorized batch
+  scorer.  Events are bit-identical to sequential per-link ``push`` for any
+  batch size.
 * :mod:`repro.fleet.engine` — :class:`FleetConfig` (JSON round-trip),
   :class:`FleetReport` (throughput, p50/p99 arrival-to-emission latency, a
   canonical event stream with a sha256 digest) and :func:`run_fleet`, which

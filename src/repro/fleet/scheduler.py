@@ -1,27 +1,35 @@
 """Event-ordered cross-link scheduling of streaming detection sessions.
 
 The fleet's links ping at independent Poisson rates, so their packets arrive
-interleaved in one global time order.  :class:`FleetScheduler` merges the
-per-link arrival streams with a heap (one entry per live link, keyed by its
-next arrival time), advances each link's
-:class:`~repro.api.session.StreamingSession` window state through the
-non-scoring :meth:`~repro.api.session.StreamingSession.advance` hook, and
-defers the scoring of completed windows: ready windows accumulate across
-links and are flushed through the shared vectorized batch scorer
+interleaved in one global time order.  A link's whole arrival schedule and
+CSI pool are known up front (:class:`~repro.fleet.traffic.LinkTraffic`), so
+its window boundaries are too: with window ``w`` and stride ``s`` its
+windows complete at arrivals ``w-1, w-1+s, ...``.  :class:`FleetScheduler`
+therefore advances each link's
+:class:`~repro.api.session.StreamingSession` window by window, never packet
+by packet.  A heap holds one entry per live link, keyed by the arrival time
+of its next window's last packet; each popped window is gathered from the
+link's pool in one step (:meth:`~repro.fleet.traffic.LinkTraffic.window`)
+and queued on the session through
+:meth:`~repro.api.session.StreamingSession.queue_window`.  The session's
+frame buffer is not filled.  Scoring is deferred: ready windows accumulate
+across links and are flushed through the shared vectorized batch scorer
 (:func:`repro.api.monitor.score_windows_batch`) once ``batch_windows`` of
 them are pending.
 
-Batching changes *when* a window is scored, never *what* its score is: the
-batch scorer is bit-identical to per-window ``detector.score``, and every
-event field is session-local, so the emitted events are byte-for-byte the
-ones sequential per-link :meth:`~repro.api.session.StreamingSession.push`
-would produce — for any batch size and any link interleaving.  The flush
-delay is what the scheduler *measures*: each ready window records its
-completion instant, and the arrival-to-emission latency of every event is
-reported alongside throughput.  All timestamps come from the
-:mod:`repro.obs` clock seam — wall clock by default, a
-:class:`~repro.obs.clock.ManualClock` under test — and feed the stats only,
-never the events or their digest.
+Window completions pop in the order the arrivals of their last packets
+would: by time, exact-time ties by link position.  So flush composition and
+emission order are those of a packet-by-packet merge, and batching changes
+*when* a window is scored, never *what* its score is.  Every event field is
+session-local, so the emitted events are byte-for-byte the ones sequential
+per-link :meth:`~repro.api.session.StreamingSession.push` would produce —
+for any batch size and any link interleaving (under the ``fast`` backend,
+within its tolerance).  The flush delay is what the scheduler *measures*:
+each ready window records its completion instant, and the
+arrival-to-emission latency of every event is reported alongside
+throughput.  All timestamps come from the :mod:`repro.obs` clock seam —
+wall clock by default, a :class:`~repro.obs.clock.ManualClock` under test —
+and feed the stats only, never the events or their digest.
 """
 
 from __future__ import annotations
@@ -48,12 +56,13 @@ class ScheduleStats:
     Attributes
     ----------
     arrivals:
-        Packets consumed across all links.
+        Packets delivered across all links: every arrival of every link's
+        schedule, including those after its last completed window.
     windows:
         Monitoring windows completed and scored.
     elapsed_s:
-        Wall-clock seconds of the scheduling loop (arrival merge, window
-        advance, batch scoring).
+        Wall-clock seconds of the scheduling loop (window-completion merge,
+        window gathering, batch scoring).
     latencies_s:
         Arrival-to-emission wall latency of every event, in emission order:
         the delay between a window completing and its event being emitted
@@ -96,6 +105,14 @@ class FleetScheduler:
     ) -> tuple[list[DetectionEvent], ScheduleStats]:
         """Drive every link's traffic through its session, in global time order.
 
+        Sessions are advanced window by window: each completed window is
+        gathered from the link's pooled CSI and queued on the session with
+        its completion packet count
+        (:meth:`~repro.api.session.StreamingSession.queue_window`), so the
+        session's frame buffer is not filled.  Every session must be
+        calibrated and must not have consumed frames yet; both are checked
+        once per link before any window is scored.
+
         Returns the emitted events (in emission order: window-completion
         order, batched) and the run's :class:`ScheduleStats`.
         """
@@ -104,6 +121,17 @@ class FleetScheduler:
                 raise TypeError(
                     f"streams must pair StreamingSessions with traffic, "
                     f"got {type(session).__name__}"
+                )
+            if not session.is_calibrated:
+                raise RuntimeError(
+                    f"session {session.link_name!r} must be calibrated before "
+                    "it is scheduled"
+                )
+            if session.packets_seen:
+                raise ValueError(
+                    f"session {session.link_name!r} has already consumed "
+                    f"{session.packets_seen} frames; schedule fresh sessions "
+                    "(or reset() them)"
                 )
         clock = self.clock if self.clock is not None else obs.active_clock()
         events: list[DetectionEvent] = []
@@ -122,32 +150,31 @@ class FleetScheduler:
             events.extend(flushed)
             pending.clear()
 
-        # One heap entry per link that still has arrivals: (next time, link
-        # position, arrival index).  The link position breaks exact-time ties
-        # deterministically.
-        heap: list[tuple[float, int, int]] = [
-            (float(traffic.arrivals[0]), position, 0)
-            for position, (_, traffic) in enumerate(streams)
-            if traffic.num_arrivals > 0
-        ]
+        # One heap entry per link with a window still to complete: (arrival
+        # time of that window's last packet, link position, its arrival
+        # index).  The link position breaks exact-time ties deterministically.
+        heap: list[tuple[float, int, int]] = []
+        for position, (session, traffic) in enumerate(streams):
+            end = session.window_packets - 1
+            if end < traffic.num_arrivals:
+                heap.append((float(traffic.arrivals[end]), position, end))
         heapq.heapify(heap)
 
-        arrivals = 0
+        arrivals = sum(traffic.num_arrivals for _, traffic in streams)
         windows = 0
         started_at = clock.now()
         while heap:
-            _, position, index = heapq.heappop(heap)
+            _, position, end = heapq.heappop(heap)
             session, traffic = streams[position]
-            arrivals += 1
-            if session.advance(traffic.frame(index)):
-                windows += 1
-                pending.append((session, session.pending_window(), clock.now()))
-                if len(pending) >= self.batch_windows:
-                    flush()
-            if index + 1 < traffic.num_arrivals:
-                heapq.heappush(
-                    heap, (float(traffic.arrivals[index + 1]), position, index + 1)
-                )
+            window = traffic.window(end, session.window_packets, label=session.link_name)
+            session.queue_window(window, end + 1)
+            windows += 1
+            pending.append((session, session.pending_window(), clock.now()))
+            if len(pending) >= self.batch_windows:
+                flush()
+            end += session.window_stride
+            if end < traffic.num_arrivals:
+                heapq.heappush(heap, (float(traffic.arrivals[end]), position, end))
         flush()
         elapsed = clock.now() - started_at
         obs.count("fleet.arrivals", arrivals)

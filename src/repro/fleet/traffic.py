@@ -152,7 +152,9 @@ class LinkTraffic:
     pool_csi:
         Complex array of shape ``(pool, antennas, subcarriers)``; arrival
         ``i`` reports frame ``i % pool``, so the link cycles through an
-        idle burst followed by an occupied burst.
+        idle burst followed by an occupied burst.  The pool is validated
+        once here (3-D, finite, one column per grid subcarrier), so the
+        windows :meth:`window` gathers from it need no per-packet checks.
     pool_occupied:
         Ground-truth occupancy per pool frame.
     subcarrier_indices:
@@ -173,6 +175,13 @@ class LinkTraffic:
                 f"pool_csi must be (pool, antennas, subcarriers) with at "
                 f"least one frame, got shape {pool_csi.shape}"
             )
+        if pool_csi.shape[2] != len(subcarrier_indices):
+            raise ValueError(
+                f"pool_csi has {pool_csi.shape[2]} subcarriers but "
+                f"{len(subcarrier_indices)} indices were provided"
+            )
+        if not np.all(np.isfinite(pool_csi)):
+            raise ValueError("pool_csi contains non-finite values")
         if pool_occupied.shape != (pool_csi.shape[0],):
             raise ValueError(
                 f"pool_occupied has shape {pool_occupied.shape}, expected "
@@ -197,6 +206,26 @@ class LinkTraffic:
             timestamp=float(self.arrivals[index]),
             sequence_number=index,
             subcarrier_indices=self.subcarrier_indices,
+        )
+
+    def window(self, end: int, window_packets: int, *, label: str = "") -> CSITrace:
+        """The *window_packets* arrivals ending at arrival *end*, as one trace.
+
+        Equal to ``CSITrace.from_frames`` over ``frame(end - window_packets
+        + 1)`` .. ``frame(end)``, built from one gather of pool rows and one
+        slice of the schedule instead of a validated frame per packet.
+        """
+        start = end - window_packets + 1
+        if window_packets < 1 or start < 0 or end >= self.num_arrivals:
+            raise IndexError(
+                f"window of {window_packets} packets ending at arrival {end} "
+                f"is outside the link's {self.num_arrivals} arrivals"
+            )
+        return CSITrace(
+            csi=np.take(self.pool_csi, np.arange(start, end + 1), axis=0, mode="wrap"),
+            timestamps=self.arrivals[start : end + 1],
+            subcarrier_indices=self.subcarrier_indices,
+            label=label,
         )
 
     def occupied_at(self, index: int) -> bool:

@@ -21,6 +21,7 @@ from repro.api import (
     available_detectors,
     register_detector,
 )
+from repro.backend import use_backend
 from repro.channel import ChannelSimulator, HumanBody, Link, Point, Room
 from repro.core.detector import BaselineDetector, DetectionResult
 from repro.csi import CSIFrame, CSITrace, PacketCollector
@@ -456,6 +457,35 @@ class TestStreamingSession:
         assert not session.advance(
             CSIFrame(csi=frame.csi[:1], subcarrier_indices=frame.subcarrier_indices)
         )
+
+    @pytest.mark.parametrize("backend", ["exact", "fast"])
+    def test_non_finite_score_carries_no_decision(
+        self, backend, link, collector, calibration
+    ):
+        """Overflowing frames score inf: the event holds no decision."""
+        trace = collector.collect_empty(num_packets=6)
+        scaled = CSITrace(
+            csi=trace.csi * 1e200,
+            timestamps=trace.timestamps,
+            subcarrier_indices=trace.subcarrier_indices,
+        )
+        with use_backend(backend), np.errstate(over="ignore", invalid="ignore"):
+            session = self._session(link, calibration)
+            (event,) = session.push_trace(scaled)
+        assert not np.isfinite(event.score)
+        assert event.threshold is not None and np.isfinite(event.threshold)
+        assert event.detected is None
+
+    def test_queue_window_rejects_out_of_order_counts(
+        self, link, collector, calibration
+    ):
+        session = self._session(link, calibration)
+        window = collector.collect_empty(num_packets=6)
+        session.queue_window(window, 6)
+        assert session.packets_seen == 6
+        with pytest.raises(ValueError, match="completion order"):
+            session.queue_window(window, 5)
+        assert session.pending_window() is window
 
     def test_invalid_session_parameters(self, link):
         detector = BaselineDetector()

@@ -14,14 +14,17 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import PipelineConfig
 from repro.backend import use_backend
+from repro.csi.trace import CSITrace
 from repro.experiments.scenarios import evaluation_cases
 from repro.fleet import (
     RATE_CLASSES,
@@ -215,6 +218,46 @@ class TestTraffic:
         traffic = build_traffic(config, 1)
         assert int(traffic.pool_occupied.sum()) == expected
 
+    def test_pool_validated_once_at_construction(self):
+        traffic = build_traffic(small_fleet(), 2)
+
+        def rebuild(pool_csi, subcarrier_indices=traffic.subcarrier_indices):
+            return LinkTraffic(
+                profile=traffic.profile,
+                arrivals=traffic.arrivals,
+                calibration=traffic.calibration,
+                pool_csi=pool_csi,
+                pool_occupied=traffic.pool_occupied,
+                subcarrier_indices=subcarrier_indices,
+            )
+
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            pool = traffic.pool_csi.copy()
+            pool[3, 1, 7] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                rebuild(pool)
+        with pytest.raises(ValueError, match="pool_csi must be"):
+            rebuild(traffic.pool_csi[0])
+        with pytest.raises(ValueError, match="subcarriers"):
+            rebuild(traffic.pool_csi, traffic.subcarrier_indices[:-1])
+
+    def test_window_equals_stacked_frames(self):
+        config = small_fleet(pool_packets=5)
+        traffic = build_traffic(config, 2)
+        pool = traffic.pool_csi.shape[0]
+        for end, packets in [(3, 4), (pool + 3, 7), (traffic.num_arrivals - 1, 1)]:
+            window = traffic.window(end, packets, label="w")
+            frames = [traffic.frame(i) for i in range(end - packets + 1, end + 1)]
+            expected = CSITrace.from_frames(frames, label="w")
+            assert window.csi.dtype == expected.csi.dtype
+            assert np.array_equal(window.csi, expected.csi)
+            assert np.array_equal(window.timestamps, expected.timestamps)
+            assert window.subcarrier_indices == expected.subcarrier_indices
+            assert window.label == "w"
+        for end, packets in [(2, 4), (traffic.num_arrivals, 1), (5, 0)]:
+            with pytest.raises(IndexError):
+                traffic.window(end, packets)
+
     def test_frames_cycle_pool_with_arrival_timestamps(self):
         config = small_fleet(pool_packets=5)
         traffic = build_traffic(config, 2)
@@ -308,6 +351,123 @@ class TestSchedulerParity:
             FleetScheduler(batch_windows=0)
         with pytest.raises(TypeError, match="StreamingSession"):
             FleetScheduler().run([(object(), None)])
+
+    def test_scheduler_rejects_uncalibrated_session(self):
+        config = small_fleet(links=2)
+        streams = self.fleet_streams(config)
+        _, link = evaluation_cases()[0]
+        traffic = build_traffic(config, 0)
+        fresh = config.pipeline.session(link, link_name=traffic.profile.name)
+        with pytest.raises(RuntimeError, match="calibrated"):
+            FleetScheduler().run(streams + [(fresh, traffic)])
+        # Checked before any window is scored: no session moved.
+        assert all(session.packets_seen == 0 for session, _ in streams)
+
+    def test_scheduler_rejects_already_advanced_session(self):
+        config = small_fleet(links=2)
+        streams = self.fleet_streams(config)
+        session, traffic = streams[1]
+        session.push(traffic.frame(0))
+        with pytest.raises(ValueError, match="already consumed 1 frames"):
+            FleetScheduler().run(streams)
+        assert streams[0][0].packets_seen == 0
+        # A session that ran once is spent: a second run is rejected too.
+        fresh = self.fleet_streams(config)
+        FleetScheduler().run(fresh)
+        with pytest.raises(ValueError, match="already consumed"):
+            FleetScheduler().run(fresh)
+
+    def test_push_after_run_waits_for_a_full_window(self):
+        # The run queues windows without buffering frames, so the session
+        # must refill its buffer before a pushed frame completes a window.
+        config = small_fleet(links=1, pipeline=small_pipeline(window_stride=2))
+        ((session, traffic),) = self.fleet_streams(config)
+        FleetScheduler().run([(session, traffic)])
+        window = session.window_packets
+        pushed = [session.push(traffic.frame(i)) for i in range(2 * window)]
+        assert pushed[: window - 1] == [None] * (window - 1)
+        emitted = [event for event in pushed if event is not None]
+        assert emitted
+        assert all(event.window_packets == window for event in emitted)
+
+
+# --------------------------------------------------------------------------- #
+# window-stepped scheduler: property test against sequential push
+# --------------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def property_traffic(index: int, pool_packets: int) -> LinkTraffic:
+    """Busy links with a small pool, so windows wrap around the pool often."""
+    config = small_fleet(
+        duration_s=2.0,
+        pool_packets=pool_packets,
+        class_mix={"busy": 0.5, "abusive": 0.5},
+    )
+    return build_traffic(config, index)
+
+
+def property_streams(pipeline: PipelineConfig, links: int, pool_packets: int):
+    """Fresh calibrated sessions over the cached property traffic."""
+    cases = evaluation_cases()
+    streams = []
+    for index in range(links):
+        traffic = property_traffic(index, pool_packets)
+        session = pipeline.session(
+            cases[index % len(cases)][1], link_name=traffic.profile.name
+        )
+        session.calibrate(traffic.calibration)
+        streams.append((session, traffic))
+    return streams
+
+
+class TestWindowSteppedScheduler:
+    @pytest.mark.parametrize("backend", ["exact", "fast"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        window_packets=st.integers(1, 8),
+        window_stride=st.one_of(st.none(), st.integers(1, 12)),
+        pool_packets=st.integers(1, 25),
+        batch_windows=st.integers(1, 40),
+        links=st.integers(1, 4),
+        detector=st.sampled_from(["baseline", "subcarrier"]),
+    )
+    def test_events_match_sequential_push(
+        self,
+        backend,
+        window_packets,
+        window_stride,
+        pool_packets,
+        batch_windows,
+        links,
+        detector,
+    ):
+        pipeline = small_pipeline(
+            detector=detector, window_packets=window_packets, window_stride=window_stride
+        )
+        with use_backend(backend):
+            streams = property_streams(pipeline, links, pool_packets)
+            events, stats = FleetScheduler(batch_windows=batch_windows).run(streams)
+            references = []
+            for session, traffic in property_streams(pipeline, links, pool_packets):
+                pushed = [session.push(traffic.frame(i)) for i in range(traffic.num_arrivals)]
+                references.append([event for event in pushed if event is not None])
+
+        assert stats.arrivals == sum(traffic.num_arrivals for _, traffic in streams)
+        assert stats.windows == len(events) == sum(map(len, references))
+        assert len(stats.latencies_s) == len(events)
+        by_link: dict[str, list] = {}
+        for event in events:
+            by_link.setdefault(event.link, []).append(event)
+        for (_, traffic), reference in zip(streams, references):
+            got = by_link.get(traffic.profile.name, [])
+            if backend == "exact":
+                assert stream_digest(got) == stream_digest(reference)
+                continue
+            assert len(got) == len(reference)
+            for event, expected in zip(got, reference):
+                assert dataclasses.replace(event, score=expected.score) == expected
+                assert abs(event.score - expected.score) <= (
+                    FAST_RELATIVE_TOLERANCE * abs(expected.score)
+                )
 
 
 # --------------------------------------------------------------------------- #

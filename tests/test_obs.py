@@ -483,6 +483,8 @@ class TestOnOffParity:
         # whole-case synthesis batch per case.
         assert snapshot.metrics.histograms["collect.plan"].count == len(cases)
         assert snapshot.metrics.histograms["collect.batch_synthesize"].count == len(cases)
+        # Drift is applied in one pass per case, not one span per window.
+        assert snapshot.metrics.histograms["collect.drift"].count == len(cases)
         # Scoring is attributed too: one shared calibration and one scoring
         # core call per case, every (scheme, window) decision counted.
         assert snapshot.metrics.histograms["score.calibrate"].count == len(cases)
