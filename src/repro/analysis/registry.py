@@ -1,9 +1,9 @@
 """String-keyed lint-rule registry.
 
-Mirrors :class:`repro.api.registry.DetectorRegistry`: rules are registered
-under a stable id with a decorator, the engine instantiates whatever the
-registry holds, and project-specific rules can be added without touching the
-engine or the CLI::
+A :class:`repro.utils.registry.Registry` of rule classes: rules are
+registered under a stable id with a decorator, the engine instantiates
+whatever the registry holds, and project-specific rules can be added without
+touching the engine or the CLI::
 
     from repro.analysis import register_rule, Rule
 
@@ -20,7 +20,9 @@ A rule is an :class:`ast.NodeVisitor` subclass (see
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Callable, Iterator, Type, Union
+from typing import TYPE_CHECKING, Callable, Type, Union
+
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.base import Rule
@@ -29,88 +31,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _RULE_ID = re.compile(r"^[A-Z][A-Z0-9]{2,15}$")
 
 
-class RuleRegistry:
-    """A mutable mapping from rule ids to :class:`Rule` subclasses."""
+class RuleRegistry(Registry[Type["Rule"]]):
+    """A mutable mapping from rule ids to :class:`Rule` subclasses.
 
-    def __init__(self) -> None:
-        self._rules: dict[str, Type["Rule"]] = {}
+    Rule ids must match ``[A-Z][A-Z0-9]{2,15}`` so pragmas and config
+    sections can name them unambiguously; registering a rule stamps its id
+    on the class as ``rule_id``.
+    """
 
-    # ------------------------------------------------------------------ #
-    # registration
-    # ------------------------------------------------------------------ #
-    def register(
-        self,
-        rule_id: str,
-        rule: Union[Type["Rule"], None] = None,
-        *,
-        overwrite: bool = False,
-    ) -> Union[Type["Rule"], Callable[[Type["Rule"]], Type["Rule"]]]:
-        """Register *rule* under *rule_id*; usable directly or as a decorator.
+    kind = "rule"
 
-        Parameters
-        ----------
-        rule_id:
-            Stable identifier, e.g. ``"DET001"``.  Must match
-            ``[A-Z][A-Z0-9]{2,15}`` so pragmas and config sections can name it
-            unambiguously.
-        rule:
-            The rule class.  When omitted, ``register`` returns a decorator.
-        overwrite:
-            Allow replacing an existing registration (otherwise an error, so a
-            typo cannot silently shadow a built-in rule).
-        """
-        if not isinstance(rule_id, str) or not _RULE_ID.match(rule_id):
-            raise ValueError(
-                f"rule id must match {_RULE_ID.pattern!r}, got {rule_id!r}"
-            )
+    def _check_name(self, name: object) -> None:
+        if not isinstance(name, str) or not _RULE_ID.match(name):
+            raise ValueError(f"rule id must match {_RULE_ID.pattern!r}, got {name!r}")
 
-        def _register(cls: Type["Rule"]) -> Type["Rule"]:
-            if not isinstance(cls, type):
-                raise TypeError(f"rule must be a Rule subclass, got {cls!r}")
-            if rule_id in self._rules and not overwrite:
-                raise ValueError(
-                    f"rule {rule_id!r} is already registered; "
-                    "pass overwrite=True to replace it"
-                )
-            cls.rule_id = rule_id
-            self._rules[rule_id] = cls
-            return cls
+    def _check_entry(self, entry: object) -> None:
+        if not isinstance(entry, type):
+            raise TypeError(f"rule must be a Rule subclass, got {entry!r}")
 
-        if rule is None:
-            return _register
-        return _register(rule)
-
-    def unregister(self, rule_id: str) -> None:
-        """Remove a registration (raises ``KeyError`` if absent)."""
-        del self._rules[rule_id]
-
-    # ------------------------------------------------------------------ #
-    # lookup
-    # ------------------------------------------------------------------ #
-    def get(self, rule_id: str) -> Type["Rule"]:
-        """The rule class registered under *rule_id*."""
-        rule = self._rules.get(rule_id)
-        if rule is None:
-            raise ValueError(
-                f"unknown rule {rule_id!r}; registered rules: {list(self.ids())}"
-            )
-        return rule
+    def _admit(self, name: str, entry: Type["Rule"]) -> None:
+        entry.rule_id = name
 
     def ids(self) -> tuple[str, ...]:
         """Registered rule ids, in registration order."""
-        return tuple(self._rules)
-
-    def __contains__(self, rule_id: object) -> bool:
-        return rule_id in self._rules
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._rules)
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.ids())})"
+        return self.names()
 
 
 #: The process-wide registry used when no explicit registry is passed.
@@ -127,9 +71,7 @@ def register_rule(
             ...
     """
     target = registry if registry is not None else DEFAULT_REGISTRY
-    decorator = target.register(rule_id)
-    assert callable(decorator)
-    return decorator
+    return target.register(rule_id)
 
 
 def available_rules() -> tuple[str, ...]:

@@ -21,7 +21,7 @@ detector — any object with ``calibrate(trace)`` and ``score(window)``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.aoa.bartlett import BartlettEstimator
 from repro.aoa.music import MusicEstimator
@@ -32,6 +32,7 @@ from repro.core.detector import (
 )
 
 from repro.api.config import PipelineConfig
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channel.channel import Link
@@ -40,60 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DetectorFactory = Callable[[PipelineConfig, Optional["Link"]], object]
 
 
-class DetectorRegistry:
+class DetectorRegistry(Registry[DetectorFactory]):
     """A mutable mapping from scheme names to detector factories."""
 
-    def __init__(self) -> None:
-        self._factories: dict[str, DetectorFactory] = {}
+    kind = "detector"
 
-    # ------------------------------------------------------------------ #
-    # registration
-    # ------------------------------------------------------------------ #
-    def register(
-        self,
-        name: str,
-        factory: DetectorFactory | None = None,
-        *,
-        overwrite: bool = False,
-    ):
-        """Register *factory* under *name*; usable directly or as a decorator.
-
-        Parameters
-        ----------
-        name:
-            Scheme name, e.g. ``"baseline"``.  Must be a non-empty string.
-        factory:
-            The factory callable.  When omitted, ``register`` returns a
-            decorator that registers the decorated callable.
-        overwrite:
-            Allow replacing an existing registration (otherwise an error, so
-            typos do not silently shadow built-in schemes).
-        """
-        if not name or not isinstance(name, str):
-            raise ValueError(f"detector name must be a non-empty string, got {name!r}")
-
-        def _register(func: DetectorFactory) -> DetectorFactory:
-            if not callable(func):
-                raise TypeError(f"detector factory must be callable, got {func!r}")
-            if name in self._factories and not overwrite:
-                raise ValueError(
-                    f"detector {name!r} is already registered; "
-                    "pass overwrite=True to replace it"
-                )
-            self._factories[name] = func
-            return func
-
-        if factory is None:
-            return _register
-        return _register(factory)
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration (raises ``KeyError`` if absent)."""
-        del self._factories[name]
-
-    # ------------------------------------------------------------------ #
-    # lookup / construction
-    # ------------------------------------------------------------------ #
     def create(
         self,
         name: str,
@@ -113,30 +65,10 @@ class DetectorRegistry:
         link:
             The monitored link, for factories that need array geometry.
         """
-        factory = self._factories.get(name)
-        if factory is None:
-            raise ValueError(
-                f"unknown detector {name!r}; registered detectors: {list(self.names())}"
-            )
+        factory = self.get(name)
         if config is None:
             config = PipelineConfig(detector=name)
         return factory(config, link)
-
-    def names(self) -> tuple[str, ...]:
-        """Registered scheme names, in registration order."""
-        return tuple(self._factories)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._factories
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._factories)
-
-    def __len__(self) -> int:
-        return len(self._factories)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.names())})"
 
 
 #: The process-wide registry used when no explicit registry is passed.

@@ -46,6 +46,32 @@ _ACOS = np.frompyfunc(math.acos, 1, 1)
 _POW = np.frompyfunc(lambda x, p: float(x) ** p, 2, 1)
 _POW_ELEMENTWISE = np.frompyfunc(lambda x, p: float(x) ** float(p), 2, 1)
 
+
+def _ieee_pow(x: float, p: float) -> float:
+    """``x ** p`` with libm ``pow``'s ±inf or nan where Python raises or goes complex."""
+    try:
+        result = x**p
+    except (OverflowError, ZeroDivisionError):
+        if p != int(p):
+            return math.nan if x < 0 else math.inf
+        return math.copysign(math.inf, x) if int(p) % 2 else math.inf
+    return math.nan if isinstance(result, complex) else result
+
+
+_IEEE_POW = np.frompyfunc(lambda x, p: _ieee_pow(float(x), float(p)), 2, 1)
+
+
+def _pow(kernel: np.ufunc, x: np.ndarray, p: np.ndarray | float) -> np.ndarray:
+    """Run a ``pow`` kernel, redoing a call Python's ``**`` rejected with ``_IEEE_POW``.
+
+    The normal path stays one ``frompyfunc`` call with no per-element work.
+    """
+    try:
+        return kernel(x, p).astype(float)
+    except (OverflowError, ZeroDivisionError, TypeError):
+        return _IEEE_POW(x, p).astype(float)
+
+
 #: Elementwise ``math.exp(-(r ** 2))`` — the Gaussian core of the human
 #: shadowing profile, fused into one exact pass so the batched attenuation
 #: reproduces the scalar expression bit-for-bit (both the libm ``pow`` of
@@ -107,11 +133,10 @@ class ExactBackend:
         return _ACOS(np.asarray(x, dtype=float)).astype(float)
 
     def power(self, x: np.ndarray, exponent: float) -> np.ndarray:
-        return _POW(np.asarray(x, dtype=float), float(exponent)).astype(float)
+        return _pow(_POW, np.asarray(x, dtype=float), float(exponent))
 
     def power_elementwise(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
-        return _POW_ELEMENTWISE(x, p).astype(float)
+        return _pow(_POW_ELEMENTWISE, np.asarray(x, dtype=float), np.asarray(p, dtype=float))
 
     def gauss(self, x: np.ndarray) -> np.ndarray:
         return _GAUSS_PROFILE(np.asarray(x, dtype=float)).astype(float)

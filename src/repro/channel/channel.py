@@ -420,14 +420,12 @@ class ChannelSimulator:
     def impair(self, clean: np.ndarray, *, seed: SeedLike = None) -> np.ndarray:
         """Apply this simulator's per-packet impairments to a clean CFR.
 
-        This is the second half of :meth:`sample_packet`; callers that cache
-        the clean CFR of a static scene (for example
-        :meth:`repro.csi.collector.PacketCollector.collect`) use it to draw
-        per-packet impairments with exactly the same RNG consumption as the
-        uncached path.
+        This is the second half of :meth:`sample_packet`: one packet drawn
+        through :meth:`impairment_plan`, consuming the generator exactly as
+        one :meth:`ImpairmentModel.apply` call would.
         """
         rng = ensure_rng(seed) if seed is not None else self._rng
-        return self.impairments.apply(clean, self.subcarrier_indices, seed=rng)
+        return self._impair_each(np.asarray(clean, dtype=complex)[None], rng)[0]
 
     def impairment_plan(
         self, cleans: np.ndarray, *, num_packets: int | None = None
@@ -435,14 +433,20 @@ class ChannelSimulator:
         """A draw-order-compatible impairment plan on this simulator's grid.
 
         Thin wrapper over :meth:`ImpairmentModel.draw_plan` with the
-        simulator's subcarrier indices; used by the collector to pre-draw
-        per-packet randomness (interleaved with its loss process) and impair
-        a whole window in one vectorised pass, byte-identical to sequential
-        :meth:`impair` calls.
+        simulator's subcarrier indices; every impaired packet is drawn
+        through one (the collector interleaves the draws with its loss
+        process), so a whole window is impaired in one vectorised pass.
         """
         return self.impairments.draw_plan(
             cleans, self.subcarrier_indices, num_packets=num_packets
         )
+
+    def _impair_each(self, cleans: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One impaired packet per clean CFR of *cleans*, drawn in order."""
+        plan = self.impairment_plan(cleans)
+        for candidate in range(len(cleans)):
+            plan.draw_next(rng, candidate)
+        return plan.apply()
 
     def sample_packet(
         self,
@@ -468,9 +472,10 @@ class ChannelSimulator:
 
         The clean CFRs of all positions are synthesised in one
         :meth:`clean_cfr_batch` pass (sharing the background bodies across
-        scenes); clean synthesis consumes no randomness, so the per-packet
-        impairment draws keep their historical order and the result is
-        bit-identical to the per-position loop.
+        scenes) and impaired through one plan; clean synthesis consumes no
+        randomness, so the per-packet impairment draws keep their historical
+        order and the result is bit-identical to impairing each position in
+        turn.
         """
         rng = ensure_rng(seed) if seed is not None else self._rng
         template = body if body is not None else HumanBody(position=self.link.midpoint())
@@ -478,12 +483,7 @@ class ChannelSimulator:
         scenes = [
             [template.moved_to(position), *background] for position in positions
         ]
-        cleans = self.clean_cfr_batch(scenes)
-        packets = [
-            self.impairments.apply(cleans[i], self.subcarrier_indices, seed=rng)
-            for i in range(len(scenes))
-        ]
-        return np.asarray(packets)
+        return self._impair_each(self.clean_cfr_batch(scenes), rng)
 
     # ------------------------------------------------------------------ #
     # helpers

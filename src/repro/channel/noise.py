@@ -8,8 +8,9 @@ control (AGC), and thermal noise.  The paper calibrates the raw CSI "as in
 [26]" (Sen et al.) to remove the phase artefacts; reproducing the impairments
 here lets the calibration stage in :mod:`repro.csi.calibration` do real work.
 
-:meth:`ImpairmentModel.apply` impairs one packet and is the reference;
-:class:`ImpairmentDrawPlan` is the bulk path every collector uses.  It draws
+:meth:`ImpairmentModel.apply` impairs one packet and is the reference the
+plan is fuzzed against; :class:`ImpairmentDrawPlan` is the one production
+path (the simulator's ``impair`` / ``sample_*`` and every collector).  It draws
 each packet with two generator calls — one uniform, one block of standard
 normals — in exactly the reference's consumption order, and impairs the
 whole burst array at a time, byte-identical to stacked ``apply`` calls.

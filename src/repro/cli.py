@@ -379,7 +379,6 @@ def _fleet_config(args: argparse.Namespace):
         ("backend", "backend"),
         ("batch_windows", "batch_windows"),
         ("workers", "max_workers"),
-        ("setup_workers", "setup_workers"),
     ):
         value = getattr(args, attr, None)
         if value is not None:
@@ -758,13 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ready windows batched across links per scoring flush "
         "(default 32; events are bit-identical for any value)",
-    )
-    fleet_run.add_argument(
-        "--setup-workers",
-        type=int,
-        default=None,
-        help="process-pool width for the traffic-building phase when "
-        "scheduling is single-shard (events are bit-identical for any value)",
     )
     fleet_run.add_argument(
         "--events",

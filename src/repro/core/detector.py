@@ -527,11 +527,6 @@ class SubcarrierPathWeightingDetector(_BaseDetector):
         """
         return csi * np.sqrt(weights.weights)[None, :, :]
 
-    def _weighted_csi(self, window: CSITrace) -> np.ndarray:
-        """The window's CSI scaled by its own subcarrier weights."""
-        weights = self.weighting.weights_from_trace(window)
-        return self._apply_subcarrier_weights(window.csi, weights)
-
     def _weighted_spectra(
         self, window: CSITrace
     ) -> tuple[PseudoSpectrum, PseudoSpectrum]:

@@ -26,15 +26,8 @@ from repro.channel.noise import ImpairmentModel
 from repro.channel.propagation import PropagationModel
 from repro.core.thresholds import RocCurve, detection_rates_at_threshold, roc_curve
 from repro.csi.collector import PacketCollector
-from repro.csi.trace import CSITrace
 from repro.experiments.metrics import bin_labels, rates_by_group
-from repro.experiments.scenarios import (
-    Scenario,
-    evaluation_cases,
-    grid_angle_to_receiver_deg,
-    grid_distance_to_receiver,
-    human_grid,
-)
+from repro.experiments.scenarios import Scenario, evaluation_cases
 from repro.experiments.workloads import BackgroundDynamics, EnvironmentDrift
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_known_keys
@@ -403,8 +396,9 @@ def _case_components(
     """The four per-case components, seeded in the historical draw order.
 
     The four sequential integer draws off the case RNG are the seeding
-    contract both campaign paths share: changing the order (or count) would
-    silently re-randomise every published number.
+    contract :func:`run_case` shares with the historical window-by-window
+    loop: changing the order (or count) would silently re-randomise every
+    published number.
     """
     rng = ensure_rng(seed)
     simulator = ChannelSimulator(
@@ -454,9 +448,9 @@ def run_case(
     every packet is impaired through one shared plan
     (:meth:`~repro.csi.collector.PacketCollector.collect_batch`) and every
     window is sanitised once and scored by all schemes from that shared view
-    (:func:`~repro.api.monitor.score_windows_shared`).  Scores are
-    bit-identical to the retained window-by-window path,
-    :func:`run_case_reference`, which the parity suite pins.
+    (:func:`~repro.api.monitor.score_windows_shared`).  The parity suite pins
+    the scores bit-identical to the historical window-by-window loop, kept
+    with the tests as a reference.
 
     The whole case — synthesis, impairments, sanitisation and scoring —
     computes through ``config.backend``, activated here so process-pool
@@ -504,107 +498,6 @@ def run_case(
                     window_packets=planned.num_packets,
                 )
             )
-    return windows
-
-
-def run_case_reference(
-    link: Link,
-    config: EvaluationConfig,
-    *,
-    case_seed: int | None = None,
-) -> list[ScoredWindow]:
-    """The historical window-by-window campaign loop for one link case.
-
-    Retained as the bit-parity reference for :func:`run_case`: it collects,
-    sanitises and scores one window at a time with per-scheme ``score``
-    calls.  The parity suite asserts ``run_case`` reproduces these windows
-    float for float; production callers should use :func:`run_case`.
-
-    Like :func:`run_case`, the whole case computes through
-    ``config.backend``.
-    """
-    seed = config.seed if case_seed is None else case_seed
-    with use_backend(config.backend):
-        simulator, collector, background, drift = _case_components(link, config, seed)
-
-        # Calibration: empty monitored area (background may be present far
-        # away), no drift applied — it accumulates *after* calibration.
-        calibration = collector.collect(
-            background.people_for_window() + drift.clutter_for_window(),
-            num_packets=config.calibration_packets,
-            label=f"{link.name}/calibration",
-        )
-        detectors = build_detectors(link, config)
-        for detector in detectors.values():
-            detector.calibrate(calibration)
-
-        grid = human_grid(
-            link,
-            rows=config.grid_rows,
-            cols=config.grid_cols,
-            lateral_extent_m=config.grid_lateral_extent_m,
-            along_extent_m=config.grid_along_fraction * link.distance(),
-        )
-
-        windows: list[ScoredWindow] = []
-
-        def score_window(
-            trace: CSITrace,
-            *,
-            occupied: bool,
-            distance: float | None,
-            angle: float | None,
-            location_index: int | None,
-        ) -> None:
-            for scheme, detector in detectors.items():
-                windows.append(
-                    ScoredWindow(
-                        scheme=scheme,
-                        case=link.name,
-                        occupied=occupied,
-                        score=float(detector.score(trace)),
-                        distance_to_rx_m=distance,
-                        angle_deg=angle,
-                        location_index=location_index,
-                        window_packets=trace.num_packets,
-                    )
-                )
-
-        # Positive windows: every grid location, several bursts each.
-        for location_index, position in enumerate(grid):
-            distance = grid_distance_to_receiver(link, position)
-            angle = grid_angle_to_receiver_deg(link, position)
-            for _ in range(config.windows_per_location):
-                scene = [config.human_at(position)]
-                scene += background.people_for_window()
-                scene += drift.clutter_for_window()
-                trace = collector.collect(
-                    scene,
-                    num_packets=config.window_packets,
-                    label=f"{link.name}/occupied",
-                )
-                trace = drift.apply_to_trace(trace, drift.gain_for_window())
-                score_window(
-                    trace,
-                    occupied=True,
-                    distance=distance,
-                    angle=angle,
-                    location_index=location_index,
-                )
-
-        # Negative windows: the same number, same ambient conditions, nobody
-        # in the monitored area.
-        num_negative = len(grid) * config.windows_per_location
-        for _ in range(num_negative):
-            scene = background.people_for_window() + drift.clutter_for_window()
-            trace = collector.collect(
-                scene, num_packets=config.window_packets, label=f"{link.name}/empty"
-            )
-            trace = drift.apply_to_trace(trace, drift.gain_for_window())
-            score_window(
-                trace, occupied=False, distance=None, angle=None, location_index=None
-            )
-
     return windows
 
 

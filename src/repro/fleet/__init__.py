@@ -36,7 +36,6 @@ from repro.fleet.traffic import (
     RATE_CLASSES,
     LinkProfile,
     LinkTraffic,
-    build_link_traffic,
     derive_link_seed,
     poisson_arrival_times,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "LinkProfile",
     "LinkTraffic",
     "ScheduleStats",
-    "build_link_traffic",
     "derive_link_seed",
     "poisson_arrival_times",
     "run_fleet",

@@ -17,10 +17,10 @@ capture of the empty environment plus a pool of monitoring packets split
 between empty and occupied scenes, cycled over the arrival schedule so the
 link alternates idle and occupied bursts.
 
-:func:`build_link_traffic` synthesises one link on its own and is the
-reference; :func:`build_fleet_traffic` synthesises a shard's links as one
-batched program — clean CFRs once per geometry, one shared impairment plan
-per chunk of links — byte-identical per link.
+:func:`build_fleet_traffic` synthesises a shard's links as one batched
+program — clean CFRs once per geometry, one shared impairment plan per chunk
+of links — byte-identical per link to collecting each link's captures on its
+own, which the parity suite pins.
 """
 
 from __future__ import annotations
@@ -296,64 +296,6 @@ def _link_schedule(
     return profile, arrivals
 
 
-def build_link_traffic(
-    link_index: int,
-    link: "Link",
-    *,
-    seed: int,
-    pipeline: "PipelineConfig",
-    duration_s: float,
-    pool_packets: int,
-    occupied_fraction: float,
-    class_mix: Mapping[str, float],
-    class_rates_hz: Mapping[str, float],
-) -> LinkTraffic:
-    """Synthesise one link's traffic from the fleet seed and its index.
-
-    Every random stream (class assignment, arrival schedule, channel
-    impairments, collector draws) is derived from ``(seed, link_index)``
-    alone — see :func:`derive_link_seed` / :func:`_link_streams` — so the
-    same link is byte-identical no matter which worker builds it or how
-    large the population is.
-    """
-    class_rng, arrivals_rng, channel_rng, collector_rng = _link_streams(
-        derive_link_seed(seed, link_index), "class", "arrivals", "channel", "collector"
-    )
-    profile, arrivals = _link_schedule(
-        link_index,
-        link,
-        class_rng,
-        arrivals_rng,
-        duration_s=duration_s,
-        class_mix=class_mix,
-        class_rates_hz=class_rates_hz,
-    )
-    simulator = _link_simulator(link, int(channel_rng.integers(0, 2**31 - 1)))
-    collector = pipeline.collector(simulator, rng=collector_rng)
-    calibration = collector.collect(
-        None,
-        num_packets=pipeline.calibration_packets,
-        label=f"{profile.name}/calibration",
-    )
-
-    empty_packets, occupied_packets = _pool_split(pool_packets, occupied_fraction)
-    pools: list[CSITrace] = []
-    if empty_packets:
-        pools.append(collector.collect(None, num_packets=empty_packets))
-    if occupied_packets:
-        pools.append(
-            collector.collect([_occupied_scene(link)], num_packets=occupied_packets)
-        )
-    return LinkTraffic(
-        profile=profile,
-        arrivals=arrivals,
-        calibration=calibration,
-        pool_csi=np.concatenate([trace.csi for trace in pools], axis=0),
-        pool_occupied=_pool_occupancy(empty_packets, occupied_packets),
-        subcarrier_indices=calibration.subcarrier_indices,
-    )
-
-
 @dataclass
 class _PlanGroup:
     """Geometries whose links can draw into one shared impairment plan.
@@ -397,8 +339,11 @@ def build_fleet_traffic(
 ) -> list[LinkTraffic]:
     """Synthesise many links' traffic as one batched impairment program.
 
-    Byte-identical to :func:`build_link_traffic` per link (the parity suite
-    pins it), at a fraction of the cost for realistic populations:
+    Byte-identical per link to building each link on its own — its own
+    simulator seeded from the link's "channel" stream, then one
+    :meth:`~repro.csi.collector.PacketCollector.collect` per capture (the
+    parity suite pins it) — at a fraction of the cost for realistic
+    populations:
 
     * Links reuse a handful of evaluation-case geometries, so the clean CFRs
       (one empty, one occupied scene per geometry) are synthesised once per
@@ -406,9 +351,8 @@ def build_fleet_traffic(
       call each — instead of once per link.  Sharing a simulator across links
       is byte-safe because the collect path never consumes the simulator's
       own RNG: all per-packet randomness comes from each link's "collector"
-      stream.  (:func:`build_link_traffic` seeds its simulator from the
-      link's "channel" stream; that stream is independent of every other, so
-      not consuming it changes no other draw.)
+      stream.  (The "channel" stream is independent of every other, so not
+      consuming it changes no other draw.)
     * Geometries sharing an impairment model and subcarrier grid form one
       group, and the group's links draw into one shared
       :class:`~repro.channel.noise.ImpairmentDrawPlan` per chunk of links.
@@ -430,7 +374,7 @@ def build_fleet_traffic(
         )
     empty_packets, occupied_packets = _pool_split(pool_packets, occupied_fraction)
     calibration_packets = pipeline.calibration_packets
-    # A link's captures in build_link_traffic's order: (scene, packets),
+    # A link's captures in collection order: (scene, packets),
     # scene 0 the empty room and 1 the occupied one.
     windows = [(0, calibration_packets), (0, empty_packets), (1, occupied_packets)]
     scenes = [scene for scene, count in windows if count]

@@ -458,11 +458,13 @@ class TestStreamingSession:
             CSIFrame(csi=frame.csi[:1], subcarrier_indices=frame.subcarrier_indices)
         )
 
+    @pytest.mark.parametrize("detector", SCHEMES)
     @pytest.mark.parametrize("backend", ["exact", "fast"])
     def test_non_finite_score_carries_no_decision(
-        self, backend, link, collector, calibration
+        self, backend, detector, link, collector, calibration
     ):
-        """Overflowing frames score inf: the event holds no decision."""
+        """Overflowing frames score non-finite under every backend and scheme:
+        nothing raises, and the event holds no decision."""
         trace = collector.collect_empty(num_packets=6)
         scaled = CSITrace(
             csi=trace.csi * 1e200,
@@ -470,7 +472,7 @@ class TestStreamingSession:
             subcarrier_indices=trace.subcarrier_indices,
         )
         with use_backend(backend), np.errstate(over="ignore", invalid="ignore"):
-            session = self._session(link, calibration)
+            session = self._session(link, calibration, detector=detector)
             (event,) = session.push_trace(scaled)
         assert not np.isfinite(event.score)
         assert event.threshold is not None and np.isfinite(event.threshold)

@@ -187,6 +187,24 @@ class TestFastToleranceParity:
         assert first.event_digest() == run_fleet(config).event_digest()
 
 
+class TestExactPower:
+    # Overflow, a zero base under a negative exponent and a negative base
+    # under a non-integer exponent: Python's ** raises or goes complex there.
+    BASES = np.array([1e200, -1e200, 0.0, 1e-200, -1e-200, 2.0, -8.0, np.inf, np.nan])
+    EXPONENTS = (3.0, 2.0, -3.0, -2.0, 2.5, -2.5, 0.5, 1e300, -1e300)
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_returns_ieee_pow_where_python_raises(self, exponent):
+        exact = resolve_backend("exact")
+        with np.errstate(all="ignore"):
+            expected = np.power(self.BASES, exponent)
+            got = exact.power(self.BASES, exponent)
+            exponents = np.full_like(self.BASES, exponent)
+            elementwise = exact.power_elementwise(self.BASES, exponents)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(elementwise, expected, equal_nan=True)
+
+
 # --------------------------------------------------------------------------- #
 # registry semantics
 # --------------------------------------------------------------------------- #

@@ -33,16 +33,13 @@ from repro.core.detector import (
 from repro.csi.calibration import sanitize_trace, sanitize_traces
 from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
-from repro.experiments.runner import (
-    EvaluationConfig,
-    build_detectors,
-    run_case,
-    run_case_reference,
-)
+from repro.experiments.runner import EvaluationConfig, build_detectors, run_case
 from repro.experiments.scenarios import evaluation_cases
 from repro.fleet.engine import FleetConfig, run_fleet
 from repro.fleet import traffic as traffic_module
-from repro.fleet.traffic import build_fleet_traffic, build_link_traffic
+from repro.fleet.traffic import build_fleet_traffic
+from tests.reference.runner import run_case_reference
+from tests.reference.traffic import build_link_traffic
 
 
 @pytest.fixture(scope="module")
@@ -520,7 +517,7 @@ class TestFleetTrafficParity:
             build_fleet_traffic([0, 1], [links[0]], pipeline=pipeline, **FLEET_TRAFFIC_KW)
 
 
-class TestFleetSetupWorkers:
+class TestFleetSharding:
     CONFIG = FleetConfig(
         links=12,
         duration_s=2.0,
@@ -533,24 +530,9 @@ class TestFleetSetupWorkers:
     )
 
     def test_digest_identical_for_any_sharding(self):
-        """Scheduling shards and setup shards both leave the stream alone."""
+        """Each shard builds its own traffic; the stream is left alone."""
         baseline = run_fleet(self.CONFIG).event_digest()
         assert run_fleet(self.CONFIG, max_workers=4).event_digest() == baseline
-        assert (
-            run_fleet(self.CONFIG.replace(setup_workers=3)).event_digest() == baseline
-        )
-
-    def test_setup_workers_ignored_when_scheduling_sharded(self):
-        config = self.CONFIG.replace(setup_workers=2, max_workers=2)
-        assert run_fleet(config).event_digest() == run_fleet(self.CONFIG).event_digest()
-
-    def test_validation_and_round_trip(self):
-        with pytest.raises(ValueError, match="setup_workers"):
-            FleetConfig(setup_workers=0)
-        with pytest.raises(ValueError, match="setup_workers"):
-            FleetConfig(setup_workers=True)
-        config = self.CONFIG.replace(setup_workers=4)
-        assert FleetConfig.from_dict(config.to_dict()) == config
 
 
 # --------------------------------------------------------------------------- #

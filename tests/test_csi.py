@@ -7,6 +7,7 @@ import pytest
 
 from repro.channel import Point
 from repro.channel.constants import INTEL5300_SUBCARRIER_INDICES
+from tests.reference.channel import sample_trajectory
 from repro.csi import (
     CSIFrame,
     CSITrace,
@@ -207,15 +208,15 @@ class TestPacketCollector:
         assert len(np.unique(ping_slots)) == trace.num_packets
 
     def test_collect_walk_without_loss_matches_trajectory_sampling(self, link):
-        # With loss disabled the walk is bit-identical to sampling the
-        # trajectory directly with the same stream (the historical behaviour).
+        # With loss disabled the walk is bit-identical to impairing each
+        # position in turn with the same stream (the historical behaviour).
         from repro.channel import ChannelSimulator
 
         positions = [Point(3.0, 1.0 + 0.5 * i) for i in range(6)]
         sim = ChannelSimulator(link, seed=77)
         walker = PacketCollector(sim, seed=5)
         trace = walker.collect_walk(positions)
-        reference = sim.sample_trajectory(positions, seed=np.random.default_rng(5))
+        reference = sample_trajectory(sim, positions, np.random.default_rng(5))
         assert np.array_equal(trace.csi, reference)
         assert trace.num_packets == len(positions)
 

@@ -31,12 +31,12 @@ from repro.fleet import (
     FleetConfig,
     FleetScheduler,
     LinkTraffic,
-    build_link_traffic,
     derive_link_seed,
     poisson_arrival_times,
     run_fleet,
 )
 from repro.utils.rng import ensure_rng
+from tests.reference.traffic import build_link_traffic
 from tests.test_backend_parity import FAST_RELATIVE_TOLERANCE
 
 

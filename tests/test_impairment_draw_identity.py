@@ -10,9 +10,10 @@ with a message naming it rather than as an unexplained sha256 pin mismatch:
 * ``normal(0, s, size) == 0.0 + s * standard_normal(size)``, with the same
   advance, and consecutive standard-normal draws concatenate.
 
-The property test then fuzzes impairment settings and checks the plan
-against stacked sequential ``apply`` calls, output bytes and final
-generator state alike.
+The property test then fuzzes impairment settings and checks the plan —
+drawn directly or through the simulator's ``sample_packet`` /
+``sample_trajectory`` — against stacked sequential ``apply`` calls, output
+bytes and final generator state alike.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backend import use_backend
+from repro.channel.channel import ChannelSimulator
 from repro.channel.constants import INTEL5300_SUBCARRIER_INDICES
+from repro.channel.geometry import Point
 from repro.channel.noise import ImpairmentModel
+from repro.experiments.scenarios import evaluation_cases
 
 INDICES = np.asarray(INTEL5300_SUBCARRIER_INDICES, dtype=float)
 
@@ -90,6 +94,29 @@ models = st.builds(
 )
 
 
+def _draw_plan(model, cleans, chosen, bursts, rng):
+    plan = model.draw_plan(cleans, INDICES, num_packets=len(chosen))
+    if bursts:
+        # Runs of one candidate draw as a burst, as lossless windows do.
+        for candidate, run in itertools.groupby(chosen):
+            plan.draw_next(rng, candidate, len(list(run)))
+    else:
+        for candidate in chosen:
+            plan.draw_next(rng, candidate)
+    return plan.apply()
+
+
+def _sample(path, model, cleans, chosen, rng):
+    """The simulator's draw path over *cleans*: synthesis stubbed, draws real."""
+    simulator = ChannelSimulator(evaluation_cases()[0][1], impairments=model)
+    if path == "sample_packet":
+        packets = iter(cleans[chosen])
+        simulator.clean_cfr = lambda humans: next(packets)
+        return np.stack([simulator.sample_packet(None, seed=rng) for _ in chosen])
+    simulator.clean_cfr_batch = lambda scenes: cleans[chosen]
+    return simulator.sample_trajectory([Point(1.0, 1.0)] * len(chosen), seed=rng)
+
+
 class TestDrawPlanProperty:
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -98,10 +125,11 @@ class TestDrawPlanProperty:
         zero_power=st.booleans(),
         chosen=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
         bursts=st.booleans(),
+        path=st.sampled_from(["plan", "sample_packet", "sample_trajectory"]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_plan_is_byte_equal_to_sequential_apply(
-        self, model, antennas, zero_power, chosen, bursts, seed
+        self, model, antennas, zero_power, chosen, bursts, path, seed
     ):
         cleans_rng = np.random.default_rng(seed ^ 0x5EED)
         cleans = cleans_rng.normal(size=(4, antennas, 30)) + 1j * cleans_rng.normal(
@@ -114,16 +142,11 @@ class TestDrawPlanProperty:
         expected = np.stack(
             [model.apply(cleans[c], INDICES, seed=sequential) for c in chosen]
         )
-        plan = model.draw_plan(cleans, INDICES, num_packets=len(chosen))
-        if bursts:
-            # Runs of one candidate draw as a burst, as lossless windows do.
-            for candidate, run in itertools.groupby(chosen):
-                plan.draw_next(planned, candidate, len(list(run)))
-        else:
-            for candidate in chosen:
-                plan.draw_next(planned, candidate)
         with use_backend("exact"):
-            got = plan.apply()
+            if path == "plan":
+                got = _draw_plan(model, cleans, chosen, bursts, planned)
+            else:
+                got = _sample(path, model, cleans, chosen, planned)
         assert got.tobytes() == expected.tobytes()
         assert planned.bit_generator.state == sequential.bit_generator.state
 

@@ -18,6 +18,7 @@ from repro.csi.collector import PacketCollector
 from repro.csi.trace import CSITrace
 from repro.experiments.runner import EvaluationConfig, run_evaluation
 from repro.experiments.scenarios import evaluation_cases
+from tests.reference.channel import impair
 
 
 # --------------------------------------------------------------------------- #
@@ -33,7 +34,7 @@ def reference_collect(
     rng: np.random.Generator,
     start_time: float = 0.0,
 ) -> CSITrace:
-    """The uncached acquisition loop: one full ``sample_packet`` per ping."""
+    """The uncached acquisition loop: one synthesis and one ``apply`` per ping."""
     interval = 1.0 / packet_rate_hz
     frames = []
     timestamps = []
@@ -42,7 +43,7 @@ def reference_collect(
         t += interval
         if loss_probability > 0 and rng.random() < loss_probability:
             continue
-        frames.append(simulator.sample_packet(humans, seed=rng))
+        frames.append(impair(simulator, simulator.clean_cfr(humans), rng))
         timestamps.append(t)
     return CSITrace(csi=np.asarray(frames), timestamps=np.asarray(timestamps))
 

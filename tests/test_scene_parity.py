@@ -44,6 +44,7 @@ from repro.csi.trace import CSITrace
 from repro.experiments.runner import EvaluationConfig, run_evaluation
 from repro.experiments.scenarios import evaluation_cases
 from repro.experiments.workloads import walking_trajectory
+from tests.reference.channel import impair
 
 
 # --------------------------------------------------------------------------- #
@@ -411,7 +412,7 @@ def reference_collect_walk(
             continue
         person = template.moved_to(position)
         clean = reference_clean_cfr(collector.simulator, [person, *background])
-        frames.append(collector.simulator.impair(clean, seed=collector._rng))
+        frames.append(impair(collector.simulator, clean, collector._rng))
         timestamps.append(t)
     return CSITrace(
         csi=np.asarray(frames), timestamps=np.asarray(timestamps), label=label
@@ -455,11 +456,7 @@ class TestCollectWalkRegression:
             clean = reference_clean_cfr(
                 simulator, [template.moved_to(position), *background]
             )
-            expected.append(
-                simulator.impairments.apply(
-                    clean, simulator.subcarrier_indices, seed=reference_rng
-                )
-            )
+            expected.append(impair(simulator, clean, reference_rng))
         assert np.array_equal(got, np.asarray(expected))
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils (rng, conversions, statistics, validation)."""
+"""Unit tests for repro.utils (rng, conversions, statistics, validation, registry)."""
 
 from __future__ import annotations
 
@@ -22,6 +22,9 @@ from repro.utils import (
     running_mean,
     sliding_windows,
 )
+from repro.analysis import Rule, RuleRegistry
+from repro.api import DetectorRegistry
+from repro.backend import BackendRegistry
 from repro.utils.rng import spawn_children
 from repro.utils.stats import median_absolute_deviation
 
@@ -154,3 +157,72 @@ class TestValidation:
             check_shape("a", array, (None, 29))
         with pytest.raises(ValueError):
             check_shape("a", array, (3, 30, 1))
+
+
+# --------------------------------------------------------------------------- #
+# the shared registry contract
+# --------------------------------------------------------------------------- #
+def _detector_factory():
+    return lambda config, link: None
+
+
+def _backend_factory():
+    return type("ToyBackend", (), {"name": "toy", "tolerance_parity": False})
+
+
+def _rule_class():
+    return type("ToyRule", (Rule,), {"summary": "toy"})
+
+
+# (registry class, fresh entry, the entry a lookup resolves to)
+REGISTRY_KINDS = {
+    "detector": (DetectorRegistry, _detector_factory, lambda r, name: r.get(name)),
+    "backend": (BackendRegistry, _backend_factory, lambda r, name: type(r.get(name))),
+    "rule": (RuleRegistry, _rule_class, lambda r, name: r.get(name)),
+}
+
+
+@pytest.mark.parametrize("kind", list(REGISTRY_KINDS))
+def test_registry_contract(kind):
+    registry_class, make_entry, resolve = REGISTRY_KINDS[kind]
+    registry = registry_class()
+
+    # Direct registration, then the overwrite guard.
+    first, second = make_entry(), make_entry()
+    assert registry.register("ALPHA", first) is first
+    with pytest.raises(ValueError, match="already registered"):
+        registry.register("ALPHA", second)
+    assert resolve(registry, "ALPHA") is first
+    registry.register("ALPHA", second, overwrite=True)
+    assert resolve(registry, "ALPHA") is second
+
+    # The decorator returns the entry it registers.
+    entry = make_entry()
+    assert registry.register("BETA")(entry) is entry
+    registry.register("GAMMA", make_entry())
+
+    # Registration order everywhere.
+    assert registry.names() == ("ALPHA", "BETA", "GAMMA")
+    assert list(registry) == ["ALPHA", "BETA", "GAMMA"] and len(registry) == 3
+    assert repr(registry) == f"{registry_class.__name__}(['ALPHA', 'BETA', 'GAMMA'])"
+
+    # Unregister.
+    registry.unregister("BETA")
+    assert "BETA" not in registry and "ALPHA" in registry
+    with pytest.raises(KeyError):
+        registry.unregister("BETA")
+
+    # Unknown names: the error names the kind and every registered name.
+    with pytest.raises(ValueError) as raised:
+        registry.get("NOPE")
+    assert str(raised.value) == (
+        f"unknown {kind} 'NOPE'; registered {kind}s: ['ALPHA', 'GAMMA']"
+    )
+
+    # Invalid names and entries.
+    for bad_name in ("", 123, None):
+        with pytest.raises(ValueError):
+            registry.register(bad_name, make_entry())
+    with pytest.raises(TypeError):
+        registry.register("DELTA", "not-an-entry")
+    assert registry.names() == ("ALPHA", "GAMMA")
